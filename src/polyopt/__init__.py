@@ -7,8 +7,8 @@ The pieces, bottom up:
 * ``localopt``    - KKT multipliers and the CQC / SCC / SONC / SOSC audit at a point.
 * ``relaxation``  - level-k SOS and moment relaxations as block-diagonal SDP data.
 * ``solver``      - embedded primal-dual interior-point SDP solver.
-* ``certify``     - certificates of global optimality, flat truncation, rank-1
-                    minimizer extraction.
+* ``certify``     - certificates of global optimality, pseudo-moments, flat
+                    truncation, rank-1 minimizer extraction.
 * ``hierarchy``   - the level-by-level driver with early stopping.
 * ``ensemble``    - randomized experiments measuring how often the generic
                     behavior (finite convergence, local conditions) shows up.
@@ -23,10 +23,10 @@ from .localopt import ActiveSet, LocalReport, active_set, audit_point, check_cqc
 from .relaxation import augment_archimedean, build_moment_relaxation, \
     build_sos_relaxation, relaxation_value
 from .sdp import SdpProblem, read_problem, write_problem
-from .solver import SdpSolution, SolverOptions, extract_dual_moments, solve
+from .solver import SdpSolution, SolverOptions, solve
 from .certify import Certificate, FlatTruncationReport, MomentVector, \
-    extract_certificate, extract_minimizer_rank1, flat_truncation, \
-    read_certificate, verify_certificate, write_certificate
+    extract_certificate, extract_dual_moments, extract_minimizer_rank1, \
+    flat_truncation, read_certificate, verify_certificate, write_certificate
 from .hierarchy import HierarchyRun, run_hierarchy
 from .ensemble import EnsembleSummary, random_instance, run_ensemble
 from .gallery import gallery_instance, gallery_names

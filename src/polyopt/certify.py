@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DegenerateDualError, ParseError
 from .polynomials import Polynomial, basis, monomial_mul
 from .pop import PopInstance, instance_from_dict, instance_to_dict, _poly_from_records, _poly_to_records
 
@@ -28,6 +28,8 @@ from .pop import PopInstance, instance_from_dict, instance_to_dict, _poly_from_r
 RANK_REL_TOL = 1e-6
 CERT_TOL = 1e-6
 PSD_CHECK_TOL = 1e-7
+POINT_MASS_TOL = 1e-5       # relative moment and f(u) mismatch of an extracted point
+MINIMIZER_FEAS_TOL = 1e-6   # constraint violation allowed at an extracted point
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +85,30 @@ class MomentVector:
         return MomentVector(nvars=n, level=level, values=vals)
 
 
+def extract_dual_moments(sol, layout) -> MomentVector:
+    """Pseudo-moments of a solved relaxation, normalized so that y_0 is exactly 1.
+
+    ``layout`` is the builder metadata of the solved problem.  In the SOS form
+    the moments are the equality-row multipliers, indexed by
+    ``layout.row_monomials``; in the moment form they are the free values,
+    indexed by ``layout.free_monomials``.  Raises ``DegenerateDualError`` when
+    y_0 vanishes.
+    """
+    if layout.kind == "sos":
+        monomials, raw = layout.row_monomials, sol.dual_vector
+    elif layout.kind == "moment":
+        monomials, raw = layout.free_monomials, sol.free_values
+    else:
+        raise ValueError(f"unknown layout kind {layout.kind!r}")
+    values = {tuple(m): float(val) for m, val in zip(monomials, raw)}
+    y0 = values.get((0,) * layout.nvars)
+    if y0 is None or abs(y0) < 1e-10:
+        raise DegenerateDualError(
+            f"{layout.kind} solution has y0 = {y0!r}; cannot normalize into moments")
+    return MomentVector(nvars=layout.nvars, level=layout.level,
+                        values={m: val / y0 for m, val in values.items()})
+
+
 # ---------------------------------------------------------------------------
 # Flat truncation
 # ---------------------------------------------------------------------------
@@ -135,16 +161,15 @@ def _constraint_half_degree(inst: PopInstance) -> int:
     return max(degs)
 
 
-def flat_truncation(y: MomentVector, inst: PopInstance,
-                    level: int | None = None) -> FlatTruncationReport:
-    """Detect rank stabilization rank M_{t-d}(y) = rank M_t(y).
+def flat_truncation(y: MomentVector, inst: PopInstance) -> FlatTruncationReport:
+    """Detect rank stabilization rank M_{t-d}(y) = rank M_t(y) for t <= y.level.
 
     Ranks are counted with one common singular-value threshold (relative to
     the largest moment matrix), which keeps them nondecreasing in t.  The
     smallest order passing the test is reported; when the level leaves no
     room for the comparison the report says so.
     """
-    k = level if level is not None else y.level
+    k = y.level
     d = _constraint_half_degree(inst)
     d0 = d  # both the window and the smallest reported order
     mats = {t: y.moment_matrix(t) for t in range(0, k + 1)}
@@ -171,8 +196,6 @@ def flat_truncation(y: MomentVector, inst: PopInstance,
 
 def extract_minimizer_rank1(y: MomentVector, inst: PopInstance | None = None,
                             value: float | None = None,
-                            tol_consistency: float = 1e-5,
-                            tol_feas: float = 1e-6,
                             details: dict | None = None):
     """Candidate minimizer u_i = y_{e_i} / y_0 from a numerically rank-1 moment matrix.
 
@@ -202,17 +225,17 @@ def extract_minimizer_rank1(y: MomentVector, inst: PopInstance | None = None,
         expected = 1.0
         for xi, e in zip(point, mono):
             expected *= float(xi) ** e
-        if abs(val / y0 - expected) > tol_consistency * (1.0 + abs(expected)):
+        if abs(val / y0 - expected) > POINT_MASS_TOL * (1.0 + abs(expected)):
             return reject(f"moment of {mono} inconsistent with point mass "
                           f"({val / y0:.6g} vs {expected:.6g})")
 
     if inst is not None:
-        if not inst.is_feasible(point, tol_feas):
+        if not inst.is_feasible(point, MINIMIZER_FEAS_TOL):
             eq, ineq = inst.violations(point)
             return reject(f"extracted point infeasible (|h|={eq:.2e}, -g={ineq:.2e})")
         if value is not None:
             fu = inst.f.eval(point)
-            if abs(fu - value) > tol_consistency * (1.0 + abs(value)):
+            if abs(fu - value) > POINT_MASS_TOL * (1.0 + abs(value)):
                 return reject(f"f(u) = {fu:.8g} does not match bound {value:.8g}")
     if details is not None:
         details["reason"] = None
@@ -252,9 +275,6 @@ class Certificate:
     tolerance: float
     nvars: int
     notes: list = field(default_factory=list)
-
-    def sigma_polynomials(self) -> list:
-        return [g.to_polynomial(self.nvars) for g in self.sigma_grams]
 
 
 def gram_clip_psd(matrix: np.ndarray):

@@ -36,10 +36,8 @@ def random_polynomial(nvars: int, degree: int, rng) -> Polynomial:
 
 
 def random_instance(nvars: int, degree: int, rng,
-                    n_equalities: int = 0,
-                    ball_radius_sq: float = 1.0,
-                    extra_inequality_degree: int | None = None) -> PopInstance:
-    """Random objective over the ball, optionally with linear equalities.
+                    n_equalities: int = 0) -> PopInstance:
+    """Random objective over the unit ball, optionally with linear equalities.
 
     Equalities are redrawn until the affine subspace actually meets the ball,
     so every returned instance is feasible; conditioning on feasibility keeps
@@ -56,16 +54,12 @@ def random_instance(nvars: int, degree: int, rng,
             rhs = -np.array([p.coefficient((0,) * nvars) for p in system])
             sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
             consistent = np.allclose(rows @ sol, rhs, atol=1e-9)
-            if consistent and sol @ sol <= ball_radius_sq * (1.0 - 1e-9):
+            if consistent and sol @ sol <= 1.0 - 1e-9:
                 h.append(cand)
                 break
         else:
             raise RuntimeError("could not draw a feasible equality system")
-    g = [ball_constraint(nvars, ball_radius_sq)]
-    if extra_inequality_degree:
-        g.append(random_polynomial(nvars, extra_inequality_degree, rng)
-                 + Polynomial.constant(nvars, 0.5))
-    return PopInstance(f=f, h=tuple(h), g=tuple(g))
+    return PopInstance(f=f, h=tuple(h), g=(ball_constraint(nvars, 1.0),))
 
 
 def _run_single(index: int, seed: int, nvars: int, degree: int,

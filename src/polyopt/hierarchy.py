@@ -1,10 +1,11 @@
 """Level-by-level driver for the relaxation hierarchy.
 
-Solves the SOS relaxation at increasing levels, watches the dual pseudo-
-moments for flat truncation, extracts the minimizer in the rank-1 case, and
-emits a certificate per level.  Stops early on flat truncation, on stagnation
-of the bound (two consecutive negligible increases, which is the signature of
-an asymptotic-only instance), or at the level cap.
+Solves the SOS relaxation at increasing levels, emits a certificate per
+level, watches the dual pseudo-moments of every ``optimal`` level for flat
+truncation, and extracts the minimizer in the rank-1 case.  Stops early on
+flat truncation, on stagnation of the bound (two consecutive negligible
+increases, which is the signature of an asymptotic-only instance), or at the
+level cap.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import Certificate, FlatTruncationReport, extract_certificate, \
-    extract_minimizer_rank1, flat_truncation, write_certificate
+    extract_dual_moments, extract_minimizer_rank1, flat_truncation, write_certificate
 from .errors import LevelError, PolyOptError
 from .pop import PopInstance
 from .relaxation import build_sos_relaxation, relaxation_value
-from .solver import SolverOptions, extract_dual_moments, solve
+from .solver import STATUS_OPTIMAL, SolverOptions, solve
 
 STOP_FLAT = "flat"
 STOP_LEVEL_CAP = "level_cap"
@@ -99,17 +100,18 @@ def run_hierarchy(inst: PopInstance,
                   k_min: int | None = None,
                   k_max: int | None = None,
                   solver_options: SolverOptions | None = None,
-                  with_certificates: bool = True,
                   certificate_dir=None,
                   stagnation_tol: float = STAGNATION_REL) -> HierarchyRun:
     """Solve levels k_min..k_max in order, stopping early when justified.
 
     A solver failure at one level is recorded and the loop moves on to the
-    next level.  When ``certificate_dir`` is given, each level's certificate
-    is written there as ``certificate_k<level>.json``.  ``stagnation_tol`` is
-    the relative increase below which a level counts as stagnant; the default
-    sits under the solver tolerance, so stagnation stops are rare unless the
-    caller loosens it.
+    next level.  Only ``optimal`` levels are tested for flatness; a
+    ``near_optimal`` bound may lie below the previous level's.  When
+    ``certificate_dir`` is given, each level's certificate is written there as
+    ``certificate_k<level>.json``.  ``stagnation_tol`` is the relative
+    increase below which a level counts as stagnant; the default sits under
+    the solver tolerance, so stagnation stops are rare unless the caller
+    loosens it.
     """
     min_k = inst.min_level()
     if k_min is None:
@@ -145,22 +147,27 @@ def run_hierarchy(inst: PopInstance,
             continue
         rec.value = relaxation_value(prob, sol)
 
-        if with_certificates:
-            rec.certificate = extract_certificate(prob, sol, inst)
-            if certificate_dir is not None:
-                import os
+        rec.certificate = extract_certificate(prob, sol, inst)
+        if certificate_dir is not None:
+            import os
 
-                path = os.path.join(str(certificate_dir), f"certificate_k{k}.json")
-                write_certificate(rec.certificate, path, inst)
-                rec.certificate_path = path
+            path = os.path.join(str(certificate_dir), f"certificate_k{k}.json")
+            write_certificate(rec.certificate, path, inst)
+            rec.certificate_path = path
 
-        try:
-            moments = extract_dual_moments(sol, prob.layout)
-        except PolyOptError as exc:
-            rec.minimizer_note = str(exc)
-            moments = None
+        moments = None
+        if sol.status != STATUS_OPTIMAL:
+            res = sol.residuals
+            rec.minimizer_note = (
+                f"flatness not tested: the solve ended {sol.status} (primal "
+                f"{res['primal']:.1e}, dual {res['dual']:.1e}, gap {res['gap']:.1e})")
+        else:
+            try:
+                moments = extract_dual_moments(sol, prob.layout)
+            except PolyOptError as exc:
+                rec.minimizer_note = str(exc)
         if moments is not None:
-            rec.flat = flat_truncation(moments, inst, k)
+            rec.flat = flat_truncation(moments, inst)
             if rec.flat.is_flat:
                 t = rec.flat.flat_at
                 details: dict = {}

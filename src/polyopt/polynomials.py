@@ -28,10 +28,6 @@ def grlex_key(exponents: Monomial):
     return (sum(exponents), tuple(-e for e in exponents))
 
 
-def monomial_degree(exponents: Monomial) -> int:
-    return sum(exponents)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, ParseError
-from .polynomials import Polynomial, grlex_key
+from .polynomials import Polynomial
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,3 @@ def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     return value
-
-
-def sorted_monomials(monomials) -> list:
-    return sorted(monomials, key=grlex_key)

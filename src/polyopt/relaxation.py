@@ -149,11 +149,10 @@ def build_sos_relaxation(inst: PopInstance, k: int) -> SdpProblem:
         phi_slices=phi_slices,
         block_bases=[tuple(b.entries) for b in bases],
         min_level=min_k)
-    prob = SdpProblem(
+    return SdpProblem(
         block_sizes=[len(b) for b in bases],
         a_blocks=a_blocks, b_free=b_free, rhs=rhs, c_free=c_free,
         name=f"sos-level-{k}", layout=layout)
-    return prob.drop_zero_rows().validate()
 
 
 def build_moment_relaxation(inst: PopInstance, k: int) -> SdpProblem:
@@ -210,11 +209,10 @@ def build_moment_relaxation(inst: PopInstance, k: int) -> SdpProblem:
         free_monomials=tuple(free_basis.entries),
         block_bases=[tuple(b.entries) for b in bases],
         min_level=min_k)
-    prob = SdpProblem(
+    return SdpProblem(
         block_sizes=[len(b) for b in bases],
         a_blocks=a_blocks, b_free=b_free, rhs=rhs, c_free=c_free,
         name=f"moment-level-{k}", layout=layout)
-    return prob.drop_zero_rows().validate()
 
 
 def relaxation_value(prob: SdpProblem, sol) -> float:
@@ -227,17 +225,3 @@ def relaxation_value(prob: SdpProblem, sol) -> float:
     if layout.kind == "moment":
         return -float(sol.primal_objective)
     raise ValueError(f"unknown layout kind {layout.kind!r}")
-
-
-def moment_vector_from_solution(prob: SdpProblem, sol):
-    """Pseudo-moments of a solved MOMENT-form problem (free values are y)."""
-    from .certify import MomentVector
-
-    layout = prob.layout
-    if layout is None or layout.kind != "moment":
-        raise ValueError("not a moment-form problem")
-    values = {m: float(val) for m, val in zip(layout.free_monomials, sol.free_values)}
-    y0 = values.get((0,) * layout.nvars, 0.0)
-    if abs(y0) > 1e-12:
-        values = {m: val / y0 for m, val in values.items()}
-    return MomentVector(nvars=layout.nvars, level=layout.level, values=values)

@@ -99,33 +99,6 @@ class SdpProblem:
                 raise ValueError(f"c_blocks[{j}] is not symmetric")
         return self
 
-    def drop_zero_rows(self) -> "SdpProblem":
-        """Remove equality rows whose coefficient pattern is identically zero.
-
-        A zero row with nonzero right-hand side would make the problem
-        trivially infeasible; dropping only the consistent ones keeps the
-        equality system full rank without changing the feasible set.
-        """
-        keep = []
-        for m in range(self.nrows):
-            nz = any(np.any(self.a_blocks[j][m] != 0.0) for j in range(self.nblocks))
-            nz = nz or np.any(self.b_free[m] != 0.0) or self.rhs[m] != 0.0
-            if nz:
-                keep.append(m)
-        if len(keep) == self.nrows:
-            return self
-        keep = np.asarray(keep, dtype=int)
-        return SdpProblem(
-            block_sizes=list(self.block_sizes),
-            a_blocks=[a[keep] for a in self.a_blocks],
-            b_free=self.b_free[keep],
-            rhs=self.rhs[keep],
-            c_free=self.c_free.copy(),
-            c_blocks=[c.copy() for c in self.c_blocks],
-            name=self.name,
-            layout=self.layout,
-        )
-
     # -- text format ---------------------------------------------------------
 
     def to_text(self) -> str:

@@ -7,9 +7,20 @@ Solves the maximization form of `SdpProblem`:
 together with its dual  min b.v  s.t.  Z_j = A_j*(v) - C_j PSD,  B^T v = c.
 
 The method is infeasible-start path following with the HKM search direction
-and a Mehrotra predictor-corrector step.  Free variables are handled by
-bordering the HKM Schur complement M with the free columns and solving the
-augmented symmetric indefinite system
+and a Mehrotra predictor-corrector step.  ``solve`` is a short loop over
+named phases that share one ``_Iterate``:
+
+* ``_measure``     - residuals, objectives and mu of the iterate;
+* ``_ray``         - the dual and primal ray tests (infeasible / unbounded);
+* ``_factor_kkt``  - the Schur complement M and the factored KKT system;
+* ``_kkt_solve``   - one KKT solve with iterative refinement;
+* ``_newton``      - the search direction for a complementarity target,
+  once as predictor and once as corrector, with ``_centering`` in between;
+* ``_step``        - the fraction-to-boundary step to the next iterate;
+* ``_final_status`` - the status, read off the best iterate seen.
+
+Free variables are handled by bordering the HKM Schur complement M with the
+free columns and solving the augmented symmetric indefinite system
 
     [ M    B  ] [dv ]   [h1 ]
     [ B^T -dI ] [-du] = [r_f]
@@ -36,7 +47,7 @@ of wandering:
   until it passes, so an eigenvalue estimate that is off near the cone
   boundary shortens the step instead of ending the run;
 * the run stops when the iterates have moved far away (in residual terms)
-  from a best iterate that was already within ``near_tol``, and the few
+  from a best iterate that was already within ``NEAR_TOL``, and the few
   polish iterations after convergence are counted whether or not they keep
   the tolerances: in both cases the best iterate is what is reported.
 
@@ -53,8 +64,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_triangular
 
-from .certify import MomentVector
-from .errors import DegenerateDualError
 from .sdp import SdpProblem
 
 STATUS_OPTIMAL = "optimal"
@@ -63,9 +72,13 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_MAX_ITER = "max_iter"
 
-_MAX_REFINE = 10     # cap on KKT refinement rounds per solve
-_MAX_BACKOFF = 30    # cap on step halvings that look for a PD trial iterate
-_DIVERGENCE = 1e5    # score growth past a near-optimal best iterate that ends a run
+STEP_FRACTION = 0.98  # fraction-to-boundary factor
+FREE_REG = 1e-10      # regularization of the free-variable block
+NEAR_TOL = 1e-5       # residual band accepted as near_optimal
+POLISH_ITERS = 3      # bonus iterations after reaching tolerance
+_MAX_REFINE = 10      # cap on KKT refinement rounds per solve
+_MAX_BACKOFF = 30     # cap on step halvings that look for a PD trial iterate
+_DIVERGENCE = 1e5     # score growth past a near-optimal best iterate that ends a run
 
 
 @dataclass
@@ -73,10 +86,6 @@ class SolverOptions:
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.98   # fraction-to-boundary factor
-    free_reg: float = 1e-10       # regularization of the free-variable block
-    near_tol: float = 1e-5        # residual band accepted as near_optimal
-    polish_iters: int = 3         # bonus iterations after reaching tolerance
 
 
 @dataclass
@@ -96,6 +105,67 @@ class SdpSolution:
     @property
     def ok(self) -> bool:
         return self.status in (STATUS_OPTIMAL, STATUS_NEAR_OPTIMAL)
+
+
+@dataclass
+class _Data:
+    """The problem arrays as the phases use them, and the scales they share."""
+
+    sizes: list
+    nrows: int
+    nfree: int
+    ntotal: int           # sum of the block sizes
+    a_blocks: list        # per block: contiguous (nrows, s, s)
+    a_flat: list          # the same as (nrows, s*s) views
+    b: np.ndarray
+    bmat: np.ndarray
+    c_free: np.ndarray
+    c_blocks: list
+    rho_p: float          # initial X scale, the yardstick of the primal-ray test
+    b_scale: float
+    c_scale: float
+    refine_floor: float   # KKT residuals below this cannot move the stopping test
+
+
+@dataclass
+class _Iterate:
+    """X, Z (with their Cholesky factors), u and v; ``_measure`` fills in the
+    rest.  A step makes a new iterate and never writes into an old one, so
+    the best iterate can be kept by reference."""
+
+    x: list
+    z: list
+    x_chol: list
+    z_chol: list
+    u: np.ndarray
+    v: np.ndarray
+    r_p: np.ndarray | None = None
+    r_d: list | None = None
+    r_f: np.ndarray | None = None
+    mu: float = 0.0
+    primal: float = 0.0
+    dual: float = 0.0
+    err_p: float = np.inf
+    err_d: float = np.inf
+    rel_gap: float = np.inf
+
+    @property
+    def score(self) -> float:
+        return max(self.err_p, self.err_d, self.rel_gap)
+
+    def meets(self, opts: SolverOptions) -> bool:
+        return (self.err_p <= opts.tol_feas and self.err_d <= opts.tol_feas
+                and self.rel_gap <= opts.tol_gap)
+
+
+@dataclass
+class _Kkt:
+    """One iteration's factored KKT system."""
+
+    z_inv: list
+    free_rows: np.ndarray  # the last nfree rows of the bordered matrix
+    equil: np.ndarray      # diagonal equilibration of the factored copy
+    lu: tuple
 
 
 def _sym(mat):
@@ -127,7 +197,7 @@ def _max_step(chol_lower, delta):
     return -1.0 / lam_min
 
 
-def _pd_step(blocks, deltas, chols, fraction):
+def _pd_step(blocks, deltas, chols):
     """Fraction-to-boundary step along ``deltas``, with the stepped blocks and
     their Cholesky factors (``None`` for both if no step keeps them PD).
 
@@ -135,7 +205,7 @@ def _pd_step(blocks, deltas, chols, fraction):
     good as ``chols``, so a trial that fails Cholesky is halved until it
     passes; the factors are reused by the next iteration.
     """
-    alpha = min(1.0, fraction * min(_max_step(lc, d) for lc, d in zip(chols, deltas)))
+    alpha = min(1.0, STEP_FRACTION * min(_max_step(lc, d) for lc, d in zip(chols, deltas)))
     for _ in range(_MAX_BACKOFF):
         trial = [_sym(m + alpha * d) for m, d in zip(blocks, deltas)]
         try:
@@ -143,6 +213,247 @@ def _pd_step(blocks, deltas, chols, fraction):
         except np.linalg.LinAlgError:
             alpha *= 0.5
     return alpha, None, None
+
+
+def _start(prob: SdpProblem, opts: SolverOptions):
+    """The phases' view of the problem, and the big initialization from its norms."""
+    sizes = prob.block_sizes
+    a_blocks = [np.ascontiguousarray(a) for a in prob.a_blocks]
+    a_flat = [a.reshape(prob.nrows, -1) for a in a_blocks]
+    b, bmat, c_free = prob.rhs, prob.b_free, prob.c_free
+    anorm = np.sqrt(sum((a ** 2).sum(axis=1) for a in a_flat) + (bmat ** 2).sum(axis=1))
+    rho_p = max(10.0, np.sqrt(max(sizes)),
+                max(sizes) * float(np.max((1.0 + np.abs(b)) / (1.0 + anorm))))
+    cnorm = max((float(np.linalg.norm(c)) for c in prob.c_blocks), default=0.0)
+    rho_d = max(10.0, np.sqrt(max(sizes)), float(anorm.max(initial=0.0)), cnorm,
+                float(np.linalg.norm(c_free)))
+    b_scale = 1.0 + float(np.linalg.norm(b))
+    c_scale = 1.0 + max(cnorm, float(np.linalg.norm(c_free)))
+    data = _Data(sizes, prob.nrows, prob.nfree, sum(sizes), a_blocks, a_flat, b, bmat,
+                 c_free, prob.c_blocks, rho_p, b_scale, c_scale,
+                 1e-2 * opts.tol_feas * min(b_scale, c_scale))
+    x_blocks = [rho_p * np.eye(s) for s in sizes]
+    z_blocks = [rho_d * np.eye(s) for s in sizes]
+    return data, _Iterate(x_blocks, z_blocks,
+                          [np.linalg.cholesky(xb) for xb in x_blocks],
+                          [np.linalg.cholesky(zb) for zb in z_blocks],
+                          np.zeros(prob.nfree), np.zeros(prob.nrows))
+
+
+def _objectives(data: _Data, it: _Iterate):
+    primal = float(data.c_free @ it.u) + sum(float(np.tensordot(cb, xb))
+                                             for cb, xb in zip(data.c_blocks, it.x))
+    return primal, float(data.b @ it.v)
+
+
+def _measure(data: _Data, it: _Iterate) -> dict:
+    """Residuals, objectives, gaps and mu of ``it``, stored on it and
+    returned as a trace row."""
+    it.r_p = data.b - _apply_A(data.a_flat, it.x) - data.bmat @ it.u
+    atv = _apply_At(data.a_blocks, it.v)
+    it.r_d = [at - cb - zb for at, cb, zb in zip(atv, data.c_blocks, it.z)]
+    it.r_f = data.c_free - data.bmat.T @ it.v
+    it.mu = sum(float(np.tensordot(xb, zb)) for xb, zb in zip(it.x, it.z)) / data.ntotal
+    it.primal, it.dual = _objectives(data, it)
+    it.err_p = float(np.linalg.norm(it.r_p)) / data.b_scale
+    it.err_d = max(max(float(np.linalg.norm(rd)) for rd in it.r_d),
+                   float(np.linalg.norm(it.r_f))) / data.c_scale
+    it.rel_gap = abs(it.dual - it.primal) / (1.0 + (abs(it.primal) + abs(it.dual)) / 2.0)
+    gap_slack = (sum(abs(float(np.tensordot(rd, xb))) for rd, xb in zip(it.r_d, it.x))
+                 + abs(float(it.r_f @ it.u)) + abs(float(it.r_p @ it.v)))
+    return {"mu": it.mu, "primal": it.primal, "dual": it.dual, "err_primal": it.err_p,
+            "err_dual": it.err_d, "rel_gap": it.rel_gap, "gap_slack": gap_slack}
+
+
+def _ray(data: _Data, it: _Iterate):
+    """(status, note) when a scaled dual ray certifies primal infeasibility or
+    a scaled primal ray certifies unboundedness, else None."""
+    vnorm = float(np.linalg.norm(it.v))
+    if vnorm > 1e8 * data.b_scale:
+        vn = it.v / vnorm
+        ray_psd = min(np.linalg.eigvalsh(_sym(r)).min() for r in _apply_At(data.a_blocks, vn))
+        if (float(np.linalg.norm(data.bmat.T @ vn)) < 1e-6
+                and ray_psd > -1e-6 and float(data.b @ vn) < -1e-8):
+            return STATUS_INFEASIBLE, "dual ray found: primal certified infeasible"
+    xnorm = max(float(np.linalg.norm(xb)) for xb in it.x) + float(np.linalg.norm(it.u))
+    if xnorm > 1e8 * data.rho_p and it.primal > 1e8 * (1.0 + abs(it.dual)):
+        resid_ray = float(np.linalg.norm(
+            _apply_A(data.a_flat, [xb / xnorm for xb in it.x]) + data.bmat @ (it.u / xnorm)))
+        if resid_ray < 1e-6 and it.primal / xnorm > 1e-8:
+            return STATUS_UNBOUNDED, "primal ray found: objective unbounded above"
+    return None
+
+
+def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
+    """Form the Schur complement M (X and Z were factored when the last step
+    was taken), border it and factor it; None if no factorization works.
+
+    The augmented KKT system is the HKM Schur complement bordered by the
+    free-variable columns, with a small regularization on the free block.
+    It is factored once per iteration by pivoted LU on a diagonally
+    equilibrated copy.  Late on the conditioning is order 1/mu^2 and a
+    refinement round against the formed matrix can make the realized
+    residual worse, so solves refine against ``_kkt_apply`` instead, and
+    only while that pays off.
+    """
+    nrows, nfree = data.nrows, data.nfree
+    z_inv = []
+    for s, lc in zip(data.sizes, it.z_chol):
+        w = solve_triangular(lc, np.eye(s), lower=True)
+        z_inv.append(_sym(w.T @ w))
+    schur = np.zeros((nrows, nrows))
+    for a, af, xb, zi in zip(data.a_blocks, data.a_flat, it.x, z_inv):
+        t = np.matmul(np.matmul(xb, a), zi)
+        schur += af @ t.reshape(nrows, -1).T
+    schur = _sym(schur)
+
+    dim = nrows + nfree
+    kmat = np.zeros((dim, dim))
+    kmat[:nrows, :nrows] = schur
+    if nfree:
+        # regularization sized against B^T M^{-1} B, the block the free
+        # columns induce, so it stays negligible as M blows up late on
+        base = max(float(np.abs(np.diag(schur)).mean()), 1e-300)
+        bscale = max(float((data.bmat ** 2).sum(axis=0).mean()), 1e-300)
+        kmat[:nrows, nrows:] = data.bmat
+        kmat[nrows:, :nrows] = data.bmat.T
+        kmat[nrows:, nrows:] = -FREE_REG * (bscale / base) * np.eye(nfree)
+    equil = 1.0 / np.sqrt(np.clip(np.abs(kmat).max(axis=1), 1e-300, None))
+    kkt_eq = kmat * equil[:, None] * equil[None, :]
+    jitter = 0.0
+    signs = np.concatenate([np.ones(nrows), -np.ones(nfree)])
+    probe = np.ones(dim)
+    for _ in range(5):
+        try:
+            with warnings.catch_warnings():
+                # conditioning near 1/mu^2 is expected in the endgame; the
+                # refinement in _kkt_solve is what handles it
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu = lu_factor(kkt_eq + jitter * np.diag(signs))
+            if np.all(np.isfinite(lu_solve(lu, probe))):
+                return _Kkt(z_inv, kmat[nrows:], equil, lu)
+        except (np.linalg.LinAlgError, ValueError):
+            pass
+        # exactly singular (e.g. dependent equality rows): retry with a
+        # quasi-definiteness-preserving diagonal shift
+        jitter = max(jitter * 100.0, 1e-12)
+    return None
+
+
+def _kkt_apply(data: _Data, it: _Iterate, kkt: _Kkt, sol):
+    """The KKT operator with M applied as dv -> A(X A*(dv) Z^{-1}).
+
+    This is the map a full step realizes, so its residual is the r_p the
+    step leaves behind; the formed M differs from it by rounding of order
+    eps * |M|, which late on is larger than ``tol_feas``.
+    """
+    nrows = data.nrows
+    atdv = _apply_At(data.a_blocks, sol[:nrows])
+    top = _apply_A(data.a_flat, [xb @ m @ zi for xb, m, zi in zip(it.x, atdv, kkt.z_inv)])
+    return np.concatenate([top + data.bmat @ sol[nrows:], kkt.free_rows @ sol])
+
+
+def _kkt_solve(data: _Data, it: _Iterate, kkt: _Kkt, h1, rf):
+    """(dv, du) from the factored KKT system, refined against the operator
+    while each round at least halves the residual; a round that makes it
+    larger is never kept."""
+    rhs = np.concatenate([h1, rf])
+    sol = kkt.equil * lu_solve(kkt.lu, kkt.equil * rhs)
+    res = rhs - _kkt_apply(data, it, kkt, sol)
+    res_norm = float(np.linalg.norm(res))
+    for _ in range(_MAX_REFINE if res_norm > data.refine_floor else 0):
+        cand = sol + kkt.equil * lu_solve(kkt.lu, kkt.equil * res)
+        cand_res = rhs - _kkt_apply(data, it, kkt, cand)
+        cand_norm = float(np.linalg.norm(cand_res))
+        if not cand_norm < res_norm:
+            break
+        halved = cand_norm <= 0.5 * res_norm
+        sol, res, res_norm = cand, cand_res, cand_norm
+        if not halved:
+            break
+    return sol[:data.nrows], -sol[data.nrows:]
+
+
+def _newton(data: _Data, it: _Iterate, kkt: _Kkt, k_blocks, label: str):
+    """Direction (dv, du, dx, dz) for complementarity target K (None means
+    K = 0); a nonfinite one raises ValueError naming ``label``."""
+    h1 = -it.r_p - _apply_A(data.a_flat, it.x)
+    adj = []
+    for j, (xb, rd, zi) in enumerate(zip(it.x, it.r_d, kkt.z_inv)):
+        term = xb @ rd @ zi
+        if k_blocks is not None:
+            term = term - k_blocks[j] @ zi
+        adj.append(term)
+    h1 = h1 - _apply_A(data.a_flat, adj)
+    # h1 = A(K Z^{-1}) - A(X) - A(X R_d Z^{-1}) - r_p
+    dv, du = _kkt_solve(data, it, kkt, h1, it.r_f)
+    atdv = _apply_At(data.a_blocks, dv)
+    dz = [at + rd for at, rd in zip(atdv, it.r_d)]
+    dx = []
+    for j, (xb, dzb, zi) in enumerate(zip(it.x, dz, kkt.z_inv)):
+        mat = -xb - xb @ dzb @ zi
+        if k_blocks is not None:
+            mat = mat + k_blocks[j] @ zi
+        dx.append(_sym(mat))
+    if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(du))
+            and all(np.all(np.isfinite(m)) for m in dx)
+            and all(np.all(np.isfinite(m)) for m in dz)):
+        raise ValueError(f"nonfinite {label} direction")
+    return dv, du, dx, dz
+
+
+def _centering(data: _Data, it: _Iterate, predictor, opts: SolverOptions, converged: bool):
+    """Mehrotra's centering parameter sigma from the affine-scaling
+    predictor, with the endgame guards, and the corrector's target K."""
+    _, _, dx_a, dz_a = predictor
+    alpha_p = min(1.0, min(_max_step(lc, d) for lc, d in zip(it.x_chol, dx_a)))
+    alpha_d = min(1.0, min(_max_step(lc, d) for lc, d in zip(it.z_chol, dz_a)))
+    mu_aff = sum(float(np.tensordot(xb + alpha_p * dx, zb + alpha_d * dz))
+                 for xb, dx, zb, dz in zip(it.x, dx_a, it.z, dz_a)) / data.ntotal
+    sigma = min(1.0, max((max(mu_aff, 0.0) / it.mu) ** 3, 1e-12))
+    # Endgame guard: if mu collapses far below the remaining infeasibility,
+    # the iterates pin to the cone boundary and the Newton systems turn too
+    # ill-conditioned to repair r_p.  Once the gap meets its tolerance, hold
+    # mu (sigma = 1) and spend the steps on feasibility alone; near the
+    # target gap, floor the centering parameter by the imbalance; earlier
+    # on, plain Mehrotra steps are both safe and much faster.  The objective
+    # gap alone is no test: while the iterates are far from feasible it can
+    # pass zero by chance.
+    gap_rel = it.mu * data.ntotal / (1.0 + abs(it.primal) + abs(it.dual))
+    infeas = max(it.err_p, it.err_d)
+    if max(it.rel_gap, gap_rel) <= opts.tol_gap and infeas > opts.tol_feas:
+        sigma = 1.0
+    elif gap_rel <= 1e2 * opts.tol_gap:
+        sigma = max(sigma, min(0.9, 0.1 * infeas / max(gap_rel, 1e-300)))
+    if not converged:
+        # never aim mu below half of what the gap tolerance asks for: each
+        # further factor only worsens the conditioning of M (the polish
+        # iterations after convergence are exempt)
+        mu_goal = (0.5 * opts.tol_gap * (1.0 + (abs(it.primal) + abs(it.dual)) / 2.0)
+                   / data.ntotal)
+        sigma = max(sigma, min(0.9, mu_goal / it.mu))
+    target = [sigma * it.mu * np.eye(s) - dx @ dz for s, dx, dz in zip(data.sizes, dx_a, dz_a)]
+    return sigma, target
+
+
+def _step(it: _Iterate, direction):
+    """(alpha_p, alpha_d, next iterate); the iterate is None when no step
+    keeps X or Z positive definite."""
+    dv, du, dx, dz = direction
+    alpha_p, x_next, x_chol = _pd_step(it.x, dx, it.x_chol)
+    alpha_d, z_next, z_chol = _pd_step(it.z, dz, it.z_chol)
+    if x_next is None or z_next is None:
+        return alpha_p, alpha_d, None
+    return alpha_p, alpha_d, _Iterate(x_next, z_next, x_chol, z_chol,
+                                      it.u + alpha_p * du, it.v + alpha_d * dv)
+
+
+def _final_status(best: _Iterate, converged: bool, opts: SolverOptions) -> str:
+    if converged or best.meets(opts):
+        return STATUS_OPTIMAL
+    if best.score <= NEAR_TOL:
+        return STATUS_NEAR_OPTIMAL
+    return STATUS_MAX_ITER
 
 
 def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
@@ -154,94 +465,24 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     collapsed step length) ends the run with a diagnostic note rather than an
     exception.  Whenever the run ends without a ray, the solution is the best
     iterate seen, with status ``optimal`` when the tolerances were met,
-    ``near_optimal`` when all three residuals are within ``near_tol``, and
+    ``near_optimal`` when all three residuals are within ``NEAR_TOL``, and
     ``max_iter`` otherwise.  Clear certificate-of-infeasibility or
     divergence patterns are reported as ``infeasible`` / ``unbounded``.
     """
     opts = opts or SolverOptions()
     prob.validate()
-
-    sizes = prob.block_sizes
-    nrows, nfree, nblocks = prob.nrows, prob.nfree, prob.nblocks
-    a_blocks = [np.ascontiguousarray(a) for a in prob.a_blocks]
-    a_flat = [a.reshape(nrows, -1) for a in a_blocks]
-    b = prob.rhs
-    bmat = prob.b_free
-    c_free = prob.c_free
-    c_blocks = prob.c_blocks
-    ntotal = sum(sizes)
-
-    # Big initialization from problem norms.
-    anorm = np.sqrt(sum((a_flat[j] ** 2).sum(axis=1) for j in range(nblocks))
-                    + (bmat ** 2).sum(axis=1))
-    rho_p = max(10.0, np.sqrt(max(sizes)),
-                max(sizes) * float(np.max((1.0 + np.abs(b)) / (1.0 + anorm))))
-    cnorm = max((float(np.linalg.norm(c)) for c in c_blocks), default=0.0)
-    rho_d = max(10.0, np.sqrt(max(sizes)), float(anorm.max(initial=0.0)), cnorm,
-                float(np.linalg.norm(c_free)))
-    x_blocks = [rho_p * np.eye(s) for s in sizes]
-    z_blocks = [rho_d * np.eye(s) for s in sizes]
-    x_chol = [np.linalg.cholesky(xb) for xb in x_blocks]
-    z_chol = [np.linalg.cholesky(zb) for zb in z_blocks]
-    u = np.zeros(nfree)
-    v = np.zeros(nrows)
-
-    b_scale = 1.0 + float(np.linalg.norm(b))
-    c_scale = 1.0 + max(cnorm, float(np.linalg.norm(c_free)))
-    # KKT residuals below this cannot move the stopping test
-    refine_floor = 1e-2 * opts.tol_feas * min(b_scale, c_scale)
-
-    trace = []
-    notes = []
-    status = STATUS_MAX_ITER
+    data, it = _start(prob, opts)
+    trace, notes = [], []
+    status, converged, polish_left, stall_count = STATUS_MAX_ITER, False, POLISH_ITERS, 0
+    best = None
     iteration = 0
-    stall_count = 0
-    converged = False
-    polish_left = opts.polish_iters
-    best = None  # (score, x, z, u, v, metrics, primal, dual, iteration)
-
-    def objectives():
-        primal = float(c_free @ u) + sum(float(np.tensordot(cb, xb))
-                                         for cb, xb in zip(c_blocks, x_blocks))
-        dual = float(b @ v)
-        return primal, dual
-
-    def residual_state():
-        r_p = b - _apply_A(a_flat, x_blocks) - bmat @ u
-        atv = _apply_At(a_blocks, v)
-        r_d = [atv[j] - c_blocks[j] - z_blocks[j] for j in range(nblocks)]
-        r_f = c_free - bmat.T @ v
-        return r_p, r_d, r_f
-
-    err_p = err_d = rel_gap = np.inf
-    primal = dual = 0.0
     for iteration in range(1, opts.max_iter + 1):
-        r_p, r_d, r_f = residual_state()
-        mu = sum(float(np.tensordot(xb, zb)) for xb, zb in zip(x_blocks, z_blocks)) / ntotal
-        primal, dual = objectives()
-
-        err_p = float(np.linalg.norm(r_p)) / b_scale
-        err_d = max(max(float(np.linalg.norm(rd)) for rd in r_d),
-                    float(np.linalg.norm(r_f))) / c_scale
-        gap = dual - primal
-        rel_gap = abs(gap) / (1.0 + (abs(primal) + abs(dual)) / 2.0)
-        gap_slack = (sum(abs(float(np.tensordot(rd, xb))) for rd, xb in zip(r_d, x_blocks))
-                     + abs(float(r_f @ u)) + abs(float(r_p @ v)))
-        trace.append({
-            "iteration": iteration - 1, "mu": mu, "primal": primal, "dual": dual,
-            "err_primal": err_p, "err_dual": err_d, "rel_gap": rel_gap,
-            "gap_slack": gap_slack,
-        })
-
-        score = max(err_p, err_d, rel_gap)
-        if best is None or score < best[0]:
-            # steps rebind the iterate lists and arrays, never write into them
-            best = (score, x_blocks, z_blocks, u, v,
-                    {"primal": err_p, "dual": err_d, "gap": rel_gap}, primal, dual, iteration)
-
-        if err_p <= opts.tol_feas and err_d <= opts.tol_feas and rel_gap <= opts.tol_gap:
+        trace.append({"iteration": iteration - 1, **_measure(data, it)})
+        if best is None or it.score < best.score:
+            best = it
+        if it.meets(opts):
             converged = True
-        elif not converged and best[0] <= opts.near_tol and score > _DIVERGENCE * best[0]:
+        elif not converged and best.score <= NEAR_TOL and it.score > _DIVERGENCE * best.score:
             # the iterates have left the neighbourhood of a near-optimal best
             # iterate, which is what gets reported; wandering on costs
             # iterations and can end in a spurious ray
@@ -256,263 +497,45 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
                 break
             polish_left -= 1
 
-        # Divergence heuristics: a scaled dual ray certifies primal
-        # infeasibility, a scaled primal ray certifies unboundedness.
-        vnorm = float(np.linalg.norm(v))
-        if vnorm > 1e8 * b_scale:
-            vn = v / vnorm
-            ray = _apply_At(a_blocks, vn)
-            ray_psd = min(np.linalg.eigvalsh(_sym(r)).min() for r in ray)
-            if (float(np.linalg.norm(bmat.T @ vn)) < 1e-6
-                    and ray_psd > -1e-6 and float(b @ vn) < -1e-8):
-                status = STATUS_INFEASIBLE
-                notes.append("dual ray found: primal certified infeasible")
-                break
-        xnorm = max(float(np.linalg.norm(xb)) for xb in x_blocks) + float(np.linalg.norm(u))
-        if xnorm > 1e8 * rho_p and primal > 1e8 * (1.0 + abs(dual)):
-            scale = xnorm
-            resid_ray = float(np.linalg.norm(
-                _apply_A(a_flat, [xb / scale for xb in x_blocks]) + bmat @ (u / scale)))
-            ray_obj = primal / scale
-            if resid_ray < 1e-6 and ray_obj > 1e-8:
-                status = STATUS_UNBOUNDED
-                notes.append("primal ray found: objective unbounded above")
-                break
-
-        # Schur complement (X and Z were factored when the last step was taken).
-        z_inv = []
-        for s, lc in zip(sizes, z_chol):
-            w = solve_triangular(lc, np.eye(s), lower=True)
-            z_inv.append(_sym(w.T @ w))
-
-        schur = np.zeros((nrows, nrows))
-        for j in range(nblocks):
-            t = np.matmul(np.matmul(x_blocks[j], a_blocks[j]), z_inv[j])
-            schur += a_flat[j] @ t.reshape(nrows, -1).T
-        schur = _sym(schur)
-
-        # Augmented KKT system: the HKM Schur complement bordered by the
-        # free-variable columns, with a small regularization on the free
-        # block.  Factored once per iteration by pivoted LU on a diagonally
-        # equilibrated copy.  Late on the conditioning is order 1/mu^2 and a
-        # refinement round against the formed matrix can make the realized
-        # residual worse, so solves refine against ``kkt_apply`` instead, and
-        # only while that pays off.
-        dim = nrows + nfree
-        kmat = np.zeros((dim, dim))
-        kmat[:nrows, :nrows] = schur
-        if nfree:
-            # regularization sized against B^T M^{-1} B, the block the free
-            # columns induce, so it stays negligible as M blows up late on
-            base = max(float(np.abs(np.diag(schur)).mean()), 1e-300)
-            bscale = max(float((bmat ** 2).sum(axis=0).mean()), 1e-300)
-            kmat[:nrows, nrows:] = bmat
-            kmat[nrows:, :nrows] = bmat.T
-            kmat[nrows:, nrows:] = -opts.free_reg * (bscale / base) * np.eye(nfree)
-        equil = 1.0 / np.sqrt(np.clip(np.abs(kmat).max(axis=1), 1e-300, None))
-        kkt_eq = kmat * equil[:, None] * equil[None, :]
-        kkt_lu = None
-        jitter = 0.0
-        signs = np.concatenate([np.ones(nrows), -np.ones(nfree)])
-        probe = np.ones(dim)
-        for _ in range(5):
-            try:
-                with warnings.catch_warnings():
-                    # conditioning near 1/mu^2 is expected in the endgame; the
-                    # refinement step below is what handles it
-                    warnings.simplefilter("ignore", LinAlgWarning)
-                    kkt_lu = lu_factor(kkt_eq + jitter * np.diag(signs))
-                if np.all(np.isfinite(lu_solve(kkt_lu, probe))):
-                    break
-            except (np.linalg.LinAlgError, ValueError):
-                pass
-            kkt_lu = None
-            # exactly singular (e.g. dependent equality rows): retry with a
-            # quasi-definiteness-preserving diagonal shift
-            jitter = max(jitter * 100.0, 1e-12)
-        if kkt_lu is None:
+        ray = _ray(data, it)
+        if ray is not None:
+            status = ray[0]
+            notes.append(ray[1])
+            break
+        kkt = _factor_kkt(data, it)
+        if kkt is None:
             notes.append(f"KKT system factorization failed at iteration {iteration}")
             break
-
-        def kkt_apply(sol):
-            """The KKT operator with M applied as dv -> A(X A*(dv) Z^{-1}).
-
-            This is the map a full step realizes, so its residual is the r_p
-            the step leaves behind; the formed M differs from it by rounding
-            of order eps * |M|, which late on is larger than ``tol_feas``.
-            """
-            dv = sol[:nrows]
-            atdv = _apply_At(a_blocks, dv)
-            top = _apply_A(a_flat, [x_blocks[j] @ atdv[j] @ z_inv[j] for j in range(nblocks)])
-            return np.concatenate([top + bmat @ sol[nrows:], kmat[nrows:] @ sol])
-
-        def kkt_solve(h1, rf):
-            rhs = np.concatenate([h1, rf])
-
-            def once(r):
-                return equil * lu_solve(kkt_lu, equil * r)
-
-            # Refine against the operator while each round at least halves
-            # the residual, and never keep a round that makes it larger.
-            sol = once(rhs)
-            res = rhs - kkt_apply(sol)
-            res_norm = float(np.linalg.norm(res))
-            for _ in range(_MAX_REFINE if res_norm > refine_floor else 0):
-                cand = sol + once(res)
-                cand_res = rhs - kkt_apply(cand)
-                cand_norm = float(np.linalg.norm(cand_res))
-                if not cand_norm < res_norm:
-                    break
-                halved = cand_norm <= 0.5 * res_norm
-                sol, res, res_norm = cand, cand_res, cand_norm
-                if not halved:
-                    break
-            return sol[:nrows], -sol[nrows:]
-
-        def newton(k_blocks):
-            """Direction for complementarity target K (None means K = 0)."""
-            h1 = -r_p - _apply_A(a_flat, x_blocks)
-            adj = []
-            for j in range(nblocks):
-                term = x_blocks[j] @ r_d[j] @ z_inv[j]
-                if k_blocks is not None:
-                    term = term - k_blocks[j] @ z_inv[j]
-                adj.append(term)
-            h1 = h1 - _apply_A(a_flat, adj)
-            # h1 = A(K Z^{-1}) - A(X) - A(X R_d Z^{-1}) - r_p
-            dv, du = kkt_solve(h1, r_f)
-            atdv = _apply_At(a_blocks, dv)
-            dz = [atdv[j] + r_d[j] for j in range(nblocks)]
-            dx = []
-            for j in range(nblocks):
-                mat = -x_blocks[j] - x_blocks[j] @ dz[j] @ z_inv[j]
-                if k_blocks is not None:
-                    mat = mat + k_blocks[j] @ z_inv[j]
-                dx.append(_sym(mat))
-            return dv, du, dx, dz
-
-        def finite(dv, du, dx, dz):
-            return (np.all(np.isfinite(dv)) and np.all(np.isfinite(du))
-                    and all(np.all(np.isfinite(m)) for m in dx)
-                    and all(np.all(np.isfinite(m)) for m in dz))
-
-        # Predictor (affine scaling direction).
         try:
-            dv_a, du_a, dx_a, dz_a = newton(None)
-            if not finite(dv_a, du_a, dx_a, dz_a):
-                raise ValueError("nonfinite predictor direction")
+            predictor = _newton(data, it, kkt, None, "predictor")
+            sigma, target = _centering(data, it, predictor, opts, converged)
+            direction = _newton(data, it, kkt, target, "corrector")
         except (ValueError, np.linalg.LinAlgError) as exc:
             notes.append(f"numerical breakdown at iteration {iteration}: {exc}")
             break
-        alpha_p = min(1.0, min(_max_step(x_chol[j], dx_a[j]) for j in range(nblocks)))
-        alpha_d = min(1.0, min(_max_step(z_chol[j], dz_a[j]) for j in range(nblocks)))
-        mu_aff = sum(float(np.tensordot(x_blocks[j] + alpha_p * dx_a[j],
-                                        z_blocks[j] + alpha_d * dz_a[j]))
-                     for j in range(nblocks)) / ntotal
-        sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-12))
-        # Endgame guard: if mu collapses far below the remaining
-        # infeasibility, the iterates pin to the cone boundary and the Newton
-        # systems turn too ill-conditioned to repair r_p.  Once the gap meets
-        # its tolerance, hold mu (sigma = 1) and spend the steps on
-        # feasibility alone; near the target gap, floor the centering
-        # parameter by the imbalance; earlier on, plain Mehrotra steps are
-        # both safe and much faster.  The objective gap alone is no test:
-        # while the iterates are far from feasible it can pass zero by chance.
-        gap_rel = mu * ntotal / (1.0 + abs(primal) + abs(dual))
-        infeas = max(err_p, err_d)
-        if max(rel_gap, gap_rel) <= opts.tol_gap and infeas > opts.tol_feas:
-            sigma = 1.0
-        elif gap_rel <= 1e2 * opts.tol_gap:
-            sigma = max(sigma, min(0.9, 0.1 * infeas / max(gap_rel, 1e-300)))
-        if not converged:
-            # never aim mu below half of what the gap tolerance asks for:
-            # each further factor only worsens the conditioning of M (the
-            # polish iterations after convergence are exempt)
-            mu_goal = 0.5 * opts.tol_gap * (1.0 + (abs(primal) + abs(dual)) / 2.0) / ntotal
-            sigma = max(sigma, min(0.9, mu_goal / mu))
-
-        # Corrector.
-        k_blocks = [sigma * mu * np.eye(sizes[j]) - dx_a[j] @ dz_a[j]
-                    for j in range(nblocks)]
-        try:
-            dv, du, dx, dz = newton(k_blocks)
-            if not finite(dv, du, dx, dz):
-                raise ValueError("nonfinite corrector direction")
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            notes.append(f"numerical breakdown at iteration {iteration}: {exc}")
-            break
-
-        alpha_p, x_next, x_next_chol = _pd_step(x_blocks, dx, x_chol, opts.step_fraction)
-        alpha_d, z_next, z_next_chol = _pd_step(z_blocks, dz, z_chol, opts.step_fraction)
-        if x_next is None or z_next is None:
+        alpha_p, alpha_d, it_next = _step(it, direction)
+        if it_next is None:
             notes.append(f"iterate lost positive definiteness at iteration {iteration}")
             break
-
-        if max(alpha_p, alpha_d) < 1e-10:
-            stall_count += 1
-            if stall_count >= 2:
-                notes.append(f"step length collapsed at iteration {iteration}")
-                break
-        else:
-            stall_count = 0
-
-        x_blocks, x_chol = x_next, x_next_chol
-        z_blocks, z_chol = z_next, z_next_chol
-        u = u + alpha_p * du
-        v = v + alpha_d * dv
-
+        stall_count = stall_count + 1 if max(alpha_p, alpha_d) < 1e-10 else 0
+        if stall_count >= 2:
+            notes.append(f"step length collapsed at iteration {iteration}")
+            break
+        it = it_next
         trace[-1].update({"alpha_p": alpha_p, "alpha_d": alpha_d, "sigma": sigma})
 
-    metrics = {"primal": err_p, "dual": err_d, "gap": rel_gap}
-    if status not in (STATUS_INFEASIBLE, STATUS_UNBOUNDED) and best is not None:
+    if status == STATUS_MAX_ITER and best is not None:
         # report the best iterate seen, not whatever state a breakdown or the
         # polish phase left behind
-        _, x_blocks, z_blocks, u, v, metrics, primal, dual, _ = best
-        if converged or (metrics["primal"] <= opts.tol_feas
-                         and metrics["dual"] <= opts.tol_feas
-                         and metrics["gap"] <= opts.tol_gap):
-            status = STATUS_OPTIMAL
-        elif max(metrics.values()) <= opts.near_tol:
-            status = STATUS_NEAR_OPTIMAL
-        else:
-            status = STATUS_MAX_ITER
+        status, it = _final_status(best, converged, opts), best
     else:
-        primal, dual = objectives()
+        # a ray was found, or max_iter < 1 and no iteration measured ``it``
+        it.primal, it.dual = _objectives(data, it)
     return SdpSolution(
-        status=status,
-        x_blocks=x_blocks,
-        free_values=u,
-        dual_vector=v,
-        z_blocks=z_blocks,
-        primal_objective=primal,
-        dual_objective=dual,
-        iterations=iteration,
-        residuals=metrics,
-        trace=trace,
-        notes=notes,
-    )
-
-
-def extract_dual_moments(sol: SdpSolution, layout) -> MomentVector:
-    """Reindex the equality-row multipliers as a pseudo-moment vector.
-
-    ``layout`` is the builder metadata whose ``row_monomials`` lists the
-    monomial of each constraint row; the entry of the constant monomial is
-    normalized to exactly 1.
-    """
-    v = sol.dual_vector
-    monomials = layout.row_monomials
-    n = len(monomials[0])
-    y0 = None
-    for mono, val in zip(monomials, v):
-        if sum(mono) == 0:
-            y0 = float(val)
-            break
-    if y0 is None or abs(y0) < 1e-10:
-        raise DegenerateDualError(
-            f"dual vector has y0 = {y0!r}; cannot normalize into moments")
-    values = {tuple(m): float(val) / y0 for m, val in zip(monomials, v)}
-    return MomentVector(nvars=n, level=layout.level, values=values)
+        status=status, x_blocks=it.x, free_values=it.u, dual_vector=it.v, z_blocks=it.z,
+        primal_objective=it.primal, dual_objective=it.dual, iterations=iteration,
+        residuals={"primal": it.err_p, "dual": it.err_d, "gap": it.rel_gap},
+        trace=trace, notes=notes)
 
 
 def write_trace_csv(sol: SdpSolution, path) -> None:

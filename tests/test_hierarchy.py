@@ -33,6 +33,19 @@ class TestDriver:
         assert vals[0] < vals[1] < 0.0
         assert all(rec.flat is not None and not rec.flat.is_flat for rec in run.levels)
 
+    def test_flatness_tested_only_on_optimal_levels(self):
+        # level 2 of this instance ends near_optimal with a bound about 2e-6
+        # below level 1's; declaring it flat would stop on that bound
+        inst = gallery_instance("equality-quadratic")
+        run = run_hierarchy(inst)
+        assert run.stop_reason == STOP_FLAT
+        for rec in run.levels:
+            if rec.flat is not None and rec.flat.is_flat:
+                assert rec.status == "optimal", rec.to_dict()
+            if rec.status == "near_optimal":
+                assert rec.flat is None and "flatness not tested" in rec.minimizer_note
+        assert run.final_value == pytest.approx(inst.metadata["f_min"], abs=1e-7)
+
     def test_level_below_minimum_rejected(self):
         inst = gallery_instance("motzkin-ball")
         with pytest.raises(LevelError) as err:

@@ -3,8 +3,8 @@ import pytest
 
 from polyopt import PopInstance, Polynomial, augment_archimedean, ball_constraint, \
     build_moment_relaxation, build_sos_relaxation, motzkin, relaxation_value, solve
+from polyopt.certify import extract_dual_moments
 from polyopt.errors import LevelError
-from polyopt.relaxation import moment_vector_from_solution
 
 from oracles import grid_minimize
 
@@ -113,7 +113,7 @@ class TestMomentBuilder:
             g=(ball_constraint(1, 4.0),))
         prob = build_moment_relaxation(inst, 1)
         sol = solve(prob)
-        y = moment_vector_from_solution(prob, sol)
+        y = extract_dual_moments(sol, prob.layout)
         assert y.values[(0,)] == pytest.approx(1.0)
         assert y.values[(1,)] == pytest.approx(1.0, abs=1e-5)
 

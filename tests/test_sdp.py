@@ -35,17 +35,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             prob.validate()
 
-    def test_drop_zero_rows(self):
-        a = np.zeros((3, 1, 1))
-        a[0, 0, 0] = 1.0
-        a[2, 0, 0] = 2.0
-        prob = SdpProblem(block_sizes=[1], a_blocks=[a],
-                          b_free=np.zeros((3, 0)), rhs=np.array([1.0, 0.0, 2.0]),
-                          c_free=np.zeros(0))
-        slim = prob.drop_zero_rows()
-        assert slim.nrows == 2
-        assert list(slim.rhs) == [1.0, 2.0]
-
 
 class TestTextFormat:
     def test_round_trip_tiny(self):
