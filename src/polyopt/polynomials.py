@@ -9,8 +9,11 @@ x1-heavy monomials first.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 from .errors import DimensionMismatchError, ParseError
 
@@ -29,7 +32,7 @@ def grlex_key(exponents: Monomial):
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _canonicalize(terms: dict, drop_rel: float = COEFF_DROP_REL) -> dict:
@@ -328,7 +331,8 @@ class MonomialBasis:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "index", {m: i for i, m in enumerate(entries)})
+        object.__setattr__(self, "index",
+                           MappingProxyType({m: i for i, m in enumerate(entries)}))
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialBasis is immutable")
@@ -343,8 +347,12 @@ class MonomialBasis:
         return self.entries[i]
 
 
+@functools.lru_cache(maxsize=None)
 def basis(nvars: int, max_degree: int) -> MonomialBasis:
-    """Graded-lex monomial basis of size binomial(nvars + max_degree, max_degree)."""
+    """Graded-lex monomial basis of size binomial(nvars + max_degree, max_degree).
+
+    Bases are immutable, so each (nvars, max_degree) is built once and shared.
+    """
     return MonomialBasis(nvars, max_degree)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import LevelError
 from .polynomials import Polynomial, basis, monomial_mul
 from .pop import PopInstance, ball_constraint
-from .sdp import SdpProblem
+from .sdp import CoeffBlock, SdpProblem
 
 
 def augment_archimedean(inst: PopInstance, radius_sq: float) -> PopInstance:
@@ -107,18 +107,24 @@ def build_sos_relaxation(inst: PopInstance, k: int) -> SdpProblem:
     g_all, bases = _gram_bases(inst, k)
     a_blocks = []
     for g, bas in zip(g_all, bases):
+        # Gram entry (p, q) meets row bas[p] bas[q] gamma with coefficient g_gamma
         size = len(bas)
-        a = np.zeros((nrows, size, size))
         gterms = g.sorted_terms()
+        mono = bas.entries
+        t_rows, t_cols, t_vals = [], [], []
         for p in range(size):
             for q in range(p, size):
-                prod = monomial_mul(bas[p], bas[q])
+                prod = monomial_mul(mono[p], mono[q])
                 for gamma, coeff in gterms:
                     m = row_index[monomial_mul(prod, gamma)]
-                    a[m, p, q] += coeff
+                    t_rows.append(m)
+                    t_cols.append(p * size + q)
+                    t_vals.append(coeff)
                     if p != q:
-                        a[m, q, p] += coeff
-        a_blocks.append(a)
+                        t_rows.append(m)
+                        t_cols.append(q * size + p)
+                        t_vals.append(coeff)
+        a_blocks.append(CoeffBlock(nrows, size, t_rows, t_cols, t_vals))
 
     phi_slices = []
     nfree = 1
@@ -167,7 +173,7 @@ def build_moment_relaxation(inst: PopInstance, k: int) -> SdpProblem:
     for h in inst.h:
         nrows += len(basis(n, 2 * k - int(h.degree)))
 
-    a_blocks = [np.zeros((nrows, len(b), len(b))) for b in bases]
+    a_blocks = []
     b_free = np.zeros((nrows, nfree))
     rhs = np.zeros(nrows)
 
@@ -176,20 +182,28 @@ def build_moment_relaxation(inst: PopInstance, k: int) -> SdpProblem:
     rhs[row] = 1.0
     row += 1
 
-    # Link each Gram block entry to the pseudo-moments it localizes.
-    for j, (g, bas) in enumerate(zip(g_all, bases)):
+    # Link each Gram block entry to the pseudo-moments it localizes: entry
+    # (p, q) of block j gets its own row, whose A entries are 1 (p = q) or
+    # 1/2 at (p, q) and (q, p), so the triplets come out in sorted order.
+    for g, bas in zip(g_all, bases):
         size = len(bas)
         gterms = g.sorted_terms()
+        t_rows, t_cols, t_vals = [], [], []
         for p in range(size):
             for q in range(p, size):
                 if p == q:
-                    a_blocks[j][row, p, p] = 1.0
+                    t_rows.append(row)
+                    t_cols.append(p * size + p)
+                    t_vals.append(1.0)
                 else:
-                    a_blocks[j][row, p, q] = a_blocks[j][row, q, p] = 0.5
+                    t_rows += (row, row)
+                    t_cols += (p * size + q, q * size + p)
+                    t_vals += (0.5, 0.5)
                 prod = monomial_mul(bas[p], bas[q])
                 for gamma, coeff in gterms:
                     b_free[row, y_index[monomial_mul(prod, gamma)]] -= coeff
                 row += 1
+        a_blocks.append(CoeffBlock(nrows, size, t_rows, t_cols, t_vals))
 
     # y orthogonal to the truncated ideal: L_y(h_i x^beta) = 0.
     for h in inst.h:

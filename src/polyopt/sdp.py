@@ -9,6 +9,13 @@ The canonical problem shape used throughout the toolkit is the maximization
 whose dual is:  minimize rhs . v  subject to  sum_m v_m A_{j,m} - C_j PSD for
 every block j and  B^T v = c_free.
 
+The coefficient matrices of a relaxation are well under 2% nonzero, so each
+block's A_{j,0..nrows-1} is stored as a ``CoeffBlock``: triplets (row m, flat
+index p*s + q, value) holding both triangles, sorted by (m, p, q), in O(nnz)
+memory.  ``SdpProblem`` also accepts a dense (nrows, s, s) cube per block and
+stores it the same way; ``SdpProblem.to_dense()`` gives the cubes back.  B,
+C and the right-hand side are held dense.
+
 Text serialization is line oriented and sparse (0-based indices, repr floats
 so the round trip is exact).  Coefficient matrices are symmetric and only the
 upper triangle is stored::
@@ -25,6 +32,8 @@ upper triangle is stored::
     A <m> <j> <p> <q> <value>   # row m, block j, entry (p, q), p <= q
     B <m> <i> <value>           # row m, free variable i
     END
+
+Repeated A records of one entry add up.
 """
 
 from __future__ import annotations
@@ -38,10 +47,83 @@ from .errors import ParseError
 SYMMETRY_TOL = 1e-12
 
 
+@dataclass(frozen=True, eq=False)
+class CoeffBlock:
+    """The coefficient matrices A_{j,0..nrows-1} of one s x s block as triplets.
+
+    Entry (p, q) of A_{j,m} is held at row m, flat index p*s + q.  Both
+    triangles are held, so the triplets are the nonzeros of the
+    (nrows, s*s) matrix whose row m is A_{j,m} flattened.  Construction sorts
+    them by (m, p, q) and adds up repeated entries.
+    """
+
+    nrows: int
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __post_init__(self):
+        nrows, size = int(self.nrows), int(self.size)
+        rows = np.asarray(self.rows, dtype=np.int64).reshape(-1)
+        cols = np.asarray(self.cols, dtype=np.int64).reshape(-1)
+        vals = np.asarray(self.vals, dtype=float).reshape(-1)
+        if not len(rows) == len(cols) == len(vals):
+            raise ValueError("coefficient triplets have unequal lengths")
+        ss = size * size
+        key = rows * ss + cols
+        if len(key) > 1 and not (key[1:] > key[:-1]).all():
+            # rows stay out of range under re-sorting, columns would alias
+            if cols.min() < 0 or cols.max() >= ss:
+                raise ValueError("coefficient triplet index out of range")
+            order = np.argsort(key, kind="stable")
+            key, vals = key[order], vals[order]
+            repeated = key[1:] == key[:-1]
+            if repeated.any():
+                first = np.flatnonzero(np.concatenate(([True], ~repeated)))
+                key, vals = key[first], np.add.reduceat(vals, first)
+            rows, cols = np.divmod(key, ss)
+        for name, value in zip(("nrows", "size", "rows", "cols", "vals"),
+                               (nrows, size, rows, cols, vals)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def from_dense(a) -> "CoeffBlock":
+        """The triplets of a dense (nrows, s, s) cube."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise ValueError(f"coefficient cube has shape {a.shape}, expected (nrows, s, s)")
+        flat = a.reshape(a.shape[0], -1)
+        rows, cols = np.nonzero(flat)
+        return CoeffBlock(a.shape[0], a.shape[1], rows, cols, flat[rows, cols])
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
+
+    def to_dense(self) -> np.ndarray:
+        """The (nrows, s, s) cube."""
+        a = np.zeros((self.nrows, self.size * self.size))
+        a[self.rows, self.cols] = self.vals
+        return a.reshape(self.nrows, self.size, self.size)
+
+    def asymmetry(self) -> float:
+        """max |A_m[p, q] - A_m[q, p]| over the held entries, in O(nnz log nnz):
+        each triplet is paired with the one at its transposed index."""
+        if not len(self.vals):
+            return 0.0
+        p, q = np.divmod(self.cols, self.size)
+        key = self.rows * (self.size * self.size) + self.cols
+        tkey = key + (q - p) * (self.size - 1)   # (m, q, p)
+        pos = np.minimum(np.searchsorted(key, tkey), len(key) - 1)
+        partner = np.where(key[pos] == tkey, self.vals[pos], 0.0)
+        return float(np.abs(self.vals - partner).max())
+
+
 @dataclass
 class SdpProblem:
     block_sizes: list
-    a_blocks: list            # per block: (nrows, s, s) symmetric coefficient matrices
+    a_blocks: list            # per block: a CoeffBlock (a dense (nrows, s, s) cube is converted)
     b_free: np.ndarray        # (nrows, nfree)
     rhs: np.ndarray           # (nrows,)
     c_free: np.ndarray        # (nfree,)
@@ -54,7 +136,8 @@ class SdpProblem:
         self.rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
         self.c_free = np.asarray(self.c_free, dtype=float).reshape(-1)
         self.b_free = np.asarray(self.b_free, dtype=float).reshape(len(self.rhs), -1)
-        self.a_blocks = [np.asarray(a, dtype=float) for a in self.a_blocks]
+        self.a_blocks = [a if isinstance(a, CoeffBlock) else CoeffBlock.from_dense(a)
+                         for a in self.a_blocks]
         if self.c_blocks is None:
             self.c_blocks = [np.zeros((s, s)) for s in self.block_sizes]
         else:
@@ -72,6 +155,10 @@ class SdpProblem:
     def nfree(self) -> int:
         return self.b_free.shape[1]
 
+    def to_dense(self) -> list:
+        """The coefficient matrices as one dense (nrows, s, s) cube per block."""
+        return [a.to_dense() for a in self.a_blocks]
+
     def validate(self):
         """Raise ValueError on inconsistent dimensions or asymmetric coefficients."""
         if self.nrows < 1:
@@ -85,12 +172,14 @@ class SdpProblem:
             if s < 1:
                 raise ValueError(f"block {j} has nonpositive size {s}")
             a = self.a_blocks[j]
-            if a.shape != (self.nrows, s, s):
-                raise ValueError(
-                    f"a_blocks[{j}] has shape {a.shape}, expected {(self.nrows, s, s)}")
-            asym = np.abs(a - a.transpose(0, 2, 1)).max(initial=0.0)
-            scale = np.abs(a).max(initial=0.0)
-            if asym > SYMMETRY_TOL * (1.0 + scale):
+            if (a.nrows, a.size, a.size) != (self.nrows, s, s):
+                raise ValueError(f"a_blocks[{j}] has shape {(a.nrows, a.size, a.size)}, "
+                                 f"expected {(self.nrows, s, s)}")
+            if len(a.vals) and (a.rows[0] < 0 or a.rows[-1] >= self.nrows
+                                or a.cols.min() < 0 or a.cols.max() >= s * s):
+                raise ValueError(f"a_blocks[{j}] has an entry outside its matrices")
+            scale = np.abs(a.vals).max(initial=0.0)
+            if a.asymmetry() > SYMMETRY_TOL * (1.0 + scale):
                 raise ValueError(f"a_blocks[{j}] contains asymmetric coefficient matrices")
             c = self.c_blocks[j]
             if c.shape != (s, s):
@@ -109,30 +198,17 @@ class SdpProblem:
         lines.append("sizes " + " ".join(str(s) for s in self.block_sizes))
         lines.append(f"free {self.nfree}")
         lines.append(f"rows {self.nrows}")
-        for i, v in enumerate(self.c_free):
-            if v != 0.0:
-                lines.append(f"objf {i} {float(v)!r}")
+        lines += [f"objf {i} {v!r}" for i, v in _nonzeros(self.c_free)]
         for j, c in enumerate(self.c_blocks):
-            s = self.block_sizes[j]
-            for p in range(s):
-                for q in range(p, s):
-                    if c[p, q] != 0.0:
-                        lines.append(f"objb {j} {p} {q} {float(c[p, q])!r}")
-        for m, v in enumerate(self.rhs):
-            if v != 0.0:
-                lines.append(f"rhs {m} {float(v)!r}")
+            lines += [f"objb {j} {p} {q} {v!r}" for p, q, v in _nonzeros(np.triu(c))]
+        lines += [f"rhs {m} {v!r}" for m, v in _nonzeros(self.rhs)]
         for j, a in enumerate(self.a_blocks):
-            s = self.block_sizes[j]
-            for m in range(self.nrows):
-                mat = a[m]
-                for p in range(s):
-                    for q in range(p, s):
-                        if mat[p, q] != 0.0:
-                            lines.append(f"A {m} {j} {p} {q} {float(mat[p, q])!r}")
-        for m in range(self.nrows):
-            for i, v in enumerate(self.b_free[m]):
-                if v != 0.0:
-                    lines.append(f"B {m} {i} {float(v)!r}")
+            # triplets sorted by (m, p, q): the upper ones are in record order
+            p, q = np.divmod(a.cols, a.size)
+            keep = (p <= q) & (a.vals != 0.0)
+            lines += [f"A {m} {j} {pp} {qq} {v!r}" for m, pp, qq, v in zip(
+                a.rows[keep].tolist(), p[keep].tolist(), q[keep].tolist(), a.vals[keep].tolist())]
+        lines += [f"B {m} {i} {v!r}" for m, i, v in _nonzeros(self.b_free)]
         lines.append("END")
         return "\n".join(lines) + "\n"
 
@@ -165,7 +241,7 @@ class SdpProblem:
         if len(sizes) != header["blocks"]:
             raise ParseError("sizes line disagrees with block count")
         nrows, nfree = header["rows"], header["free"]
-        a_blocks = [np.zeros((nrows, s, s)) for s in sizes]
+        a_records = [[] for _ in sizes]   # per block: (m, p, q, value)
         c_blocks = [np.zeros((s, s)) for s in sizes]
         b_free = np.zeros((nrows, nfree))
         rhs = np.zeros(nrows)
@@ -185,16 +261,36 @@ class SdpProblem:
                     rhs[int(tok[1])] = float(tok[2])
                 elif kind == "A":
                     m, j, p, q = (int(t) for t in tok[1:5])
-                    a_blocks[j][m, p, q] = a_blocks[j][m, q, p] = float(tok[5])
+                    a_records[j].append((m, p, q, float(tok[5])))
                 elif kind == "B":
                     b_free[int(tok[1]), int(tok[2])] = float(tok[3])
                 else:
                     raise ParseError(f"unknown record {kind!r}")
         except (IndexError, ValueError) as exc:
             raise ParseError(f"malformed record line: {ln!r}") from exc
+        a_blocks = []
+        for j, (s, records) in enumerate(zip(sizes, a_records)):
+            rec = np.array(records, dtype=float).reshape(-1, 4)
+            m, p, q = rec[:, :3].astype(np.int64).T
+            value = rec[:, 3]
+            if len(m) and (rec[:, :3].min() < 0 or m.max() >= nrows
+                           or max(p.max(), q.max()) >= s):
+                raise ParseError(f"A record of block {j} indexes outside its matrices")
+            off = p != q
+            a_blocks.append(CoeffBlock(
+                nrows, s, np.concatenate([m, m[off]]),
+                np.concatenate([p * s + q, q[off] * s + p[off]]),
+                np.concatenate([value, value[off]])))
         return SdpProblem(
             block_sizes=sizes, a_blocks=a_blocks, b_free=b_free, rhs=rhs,
             c_free=c_free, c_blocks=c_blocks, name=name)
+
+
+def _nonzeros(arr):
+    """(index..., value) of the nonzero entries of ``arr`` in row-major order,
+    as Python ints and floats."""
+    idx = np.nonzero(arr)
+    return zip(*(i.tolist() for i in idx), arr[idx].tolist())
 
 
 def write_problem(prob: SdpProblem, path) -> None:

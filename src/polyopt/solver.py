@@ -1,10 +1,23 @@
-"""Dense primal-dual interior-point solver for block-diagonal SDPs.
+"""Primal-dual interior-point solver for block-diagonal SDPs with sparse A.
 
 Solves the maximization form of `SdpProblem`:
 
     max  c.u + sum_j <C_j, X_j>    s.t.  A(X) + B u = b,  X_j PSD,  u free,
 
 together with its dual  min b.v  s.t.  Z_j = A_j*(v) - C_j PSD,  B^T v = c.
+
+X, Z, B and the Schur complement are dense; the coefficients A are not.
+``_start`` turns each block's triplets into three operators built once per
+solve: A as an (nrows, s*s) matrix, its transpose, and the matrices
+A_0..A_{nrows-1} stacked into an (nrows*s, s) one.  A block is held as a
+dense ndarray when nrows*s*s is below ``_DENSE_BELOW`` (there scipy's
+per-call cost outweighs the zeros it skips) and as CSR otherwise.  The phases
+use only ``@``, ``.T`` and ``.reshape`` on them, so one ``_apply_A``, one
+``_apply_At`` and one ``_schur`` serve both kinds.  ``_schur`` forms
+M_mn = <A_m, (X A_n) Z^{-1}> as U_n = A_n X through the stacked operator,
+T_n = U_n^T Z^{-1} as one batched dense product, and M = A T^T: 2 nrows s^3
+dense flops per block instead of the 4 nrows s^3 + 2 nrows^2 s^2 of dense A
+(Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997, treat this sparsity).
 
 The method is infeasible-start path following with the HKM search direction
 and a Mehrotra predictor-corrector step.  ``solve`` is a short loop over
@@ -63,8 +76,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_triangular
+from scipy.sparse import csr_array
 
-from .sdp import SdpProblem
+from .sdp import CoeffBlock, SdpProblem
 
 STATUS_OPTIMAL = "optimal"
 STATUS_NEAR_OPTIMAL = "near_optimal"
@@ -79,6 +93,7 @@ POLISH_ITERS = 3      # bonus iterations after reaching tolerance
 _MAX_REFINE = 10      # cap on KKT refinement rounds per solve
 _MAX_BACKOFF = 30     # cap on step halvings that look for a PD trial iterate
 _DIVERGENCE = 1e5     # score growth past a near-optimal best iterate that ends a run
+_DENSE_BELOW = 8192   # nrows*s*s under which a block's A is held dense, not as CSR
 
 
 @dataclass
@@ -115,8 +130,9 @@ class _Data:
     nrows: int
     nfree: int
     ntotal: int           # sum of the block sizes
-    a_blocks: list        # per block: contiguous (nrows, s, s)
-    a_flat: list          # the same as (nrows, s*s) views
+    a_ops: list           # per block: A as an (nrows, s*s) operator, dense or CSR
+    a_ts: list            # its transpose, (s*s, nrows)
+    a_stacks: list        # A_0..A_{nrows-1} stacked, (nrows*s, s)
     b: np.ndarray
     bmat: np.ndarray
     c_free: np.ndarray
@@ -172,19 +188,18 @@ def _sym(mat):
     return (mat + mat.T) / 2.0
 
 
-def _apply_A(a_flat, x_blocks):
+def _apply_A(data: _Data, x_blocks):
     """A(X): one inner product per row."""
     out = None
-    for a, x in zip(a_flat, x_blocks):
+    for a, x in zip(data.a_ops, x_blocks):
         term = a @ x.reshape(-1)
         out = term if out is None else out + term
     return out
 
 
-def _apply_At(a_blocks, v):
-    """A*(v) per block (one matrix-vector product each; tensordot gives the
-    same bits with several times the call overhead on small blocks)."""
-    return [(v @ a.reshape(len(v), -1)).reshape(a.shape[1:]) for a in a_blocks]
+def _apply_At(data: _Data, v):
+    """A*(v) per block, one matrix-vector product each."""
+    return [(at @ v).reshape(s, s) for at, s in zip(data.a_ts, data.sizes)]
 
 
 def _max_step(chol_lower, delta):
@@ -215,13 +230,33 @@ def _pd_step(blocks, deltas, chols):
     return alpha, None, None
 
 
+def _operators(blk: CoeffBlock):
+    """(A, A^T, stacked A) of one block: (nrows, s*s), (s*s, nrows) and
+    (nrows*s, s), all views of one dense array when the block is small
+    enough that scipy's per-call cost would outweigh the zeros, else CSR."""
+    nrows, s = blk.nrows, blk.size
+    if nrows * s * s < _DENSE_BELOW:
+        a = np.zeros((nrows, s * s))
+        a[blk.rows, blk.cols] = blk.vals
+        return a, a.T, a.reshape(nrows * s, s)
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(blk.rows, minlength=nrows), out=indptr[1:])
+    a = csr_array((blk.vals, blk.cols, indptr), shape=(nrows, s * s))
+    # row (m, p) of the stack holds row p of A_m; the triplet order is kept
+    stack_rows = blk.rows * s + blk.cols // s
+    indptr = np.zeros(nrows * s + 1, dtype=np.int64)
+    np.cumsum(np.bincount(stack_rows, minlength=nrows * s), out=indptr[1:])
+    stack = csr_array((blk.vals, blk.cols % s, indptr), shape=(nrows * s, s))
+    return a, a.T.tocsr(), stack
+
+
 def _start(prob: SdpProblem, opts: SolverOptions):
     """The phases' view of the problem, and the big initialization from its norms."""
     sizes = prob.block_sizes
-    a_blocks = [np.ascontiguousarray(a) for a in prob.a_blocks]
-    a_flat = [a.reshape(prob.nrows, -1) for a in a_blocks]
+    a_ops, a_ts, a_stacks = zip(*(_operators(blk) for blk in prob.a_blocks))
     b, bmat, c_free = prob.rhs, prob.b_free, prob.c_free
-    anorm = np.sqrt(sum((a ** 2).sum(axis=1) for a in a_flat) + (bmat ** 2).sum(axis=1))
+    anorm = np.sqrt(sum(np.bincount(blk.rows, weights=blk.vals ** 2, minlength=prob.nrows)
+                        for blk in prob.a_blocks) + (bmat ** 2).sum(axis=1))
     rho_p = max(10.0, np.sqrt(max(sizes)),
                 max(sizes) * float(np.max((1.0 + np.abs(b)) / (1.0 + anorm))))
     cnorm = max((float(np.linalg.norm(c)) for c in prob.c_blocks), default=0.0)
@@ -229,14 +264,13 @@ def _start(prob: SdpProblem, opts: SolverOptions):
                 float(np.linalg.norm(c_free)))
     b_scale = 1.0 + float(np.linalg.norm(b))
     c_scale = 1.0 + max(cnorm, float(np.linalg.norm(c_free)))
-    data = _Data(sizes, prob.nrows, prob.nfree, sum(sizes), a_blocks, a_flat, b, bmat,
+    data = _Data(sizes, prob.nrows, prob.nfree, sum(sizes), a_ops, a_ts, a_stacks, b, bmat,
                  c_free, prob.c_blocks, rho_p, b_scale, c_scale,
                  1e-2 * opts.tol_feas * min(b_scale, c_scale))
-    x_blocks = [rho_p * np.eye(s) for s in sizes]
-    z_blocks = [rho_d * np.eye(s) for s in sizes]
-    return data, _Iterate(x_blocks, z_blocks,
-                          [np.linalg.cholesky(xb) for xb in x_blocks],
-                          [np.linalg.cholesky(zb) for zb in z_blocks],
+    # the Cholesky factor of rho I is sqrt(rho) I, bit for bit
+    eyes = [np.eye(s) for s in sizes]
+    return data, _Iterate([rho_p * e for e in eyes], [rho_d * e for e in eyes],
+                          [np.sqrt(rho_p) * e for e in eyes], [np.sqrt(rho_d) * e for e in eyes],
                           np.zeros(prob.nfree), np.zeros(prob.nrows))
 
 
@@ -249,8 +283,8 @@ def _objectives(data: _Data, it: _Iterate):
 def _measure(data: _Data, it: _Iterate) -> dict:
     """Residuals, objectives, gaps and mu of ``it``, stored on it and
     returned as a trace row."""
-    it.r_p = data.b - _apply_A(data.a_flat, it.x) - data.bmat @ it.u
-    atv = _apply_At(data.a_blocks, it.v)
+    it.r_p = data.b - _apply_A(data, it.x) - data.bmat @ it.u
+    atv = _apply_At(data, it.v)
     it.r_d = [at - cb - zb for at, cb, zb in zip(atv, data.c_blocks, it.z)]
     it.r_f = data.c_free - data.bmat.T @ it.v
     it.mu = sum(float(np.tensordot(xb, zb)) for xb, zb in zip(it.x, it.z)) / data.ntotal
@@ -271,24 +305,46 @@ def _ray(data: _Data, it: _Iterate):
     vnorm = float(np.linalg.norm(it.v))
     if vnorm > 1e8 * data.b_scale:
         vn = it.v / vnorm
-        ray_psd = min(np.linalg.eigvalsh(_sym(r)).min() for r in _apply_At(data.a_blocks, vn))
+        ray_psd = min(np.linalg.eigvalsh(_sym(r)).min() for r in _apply_At(data, vn))
         if (float(np.linalg.norm(data.bmat.T @ vn)) < 1e-6
                 and ray_psd > -1e-6 and float(data.b @ vn) < -1e-8):
             return STATUS_INFEASIBLE, "dual ray found: primal certified infeasible"
     xnorm = max(float(np.linalg.norm(xb)) for xb in it.x) + float(np.linalg.norm(it.u))
     if xnorm > 1e8 * data.rho_p and it.primal > 1e8 * (1.0 + abs(it.dual)):
         resid_ray = float(np.linalg.norm(
-            _apply_A(data.a_flat, [xb / xnorm for xb in it.x]) + data.bmat @ (it.u / xnorm)))
+            _apply_A(data, [xb / xnorm for xb in it.x]) + data.bmat @ (it.u / xnorm)))
         if resid_ray < 1e-6 and it.primal / xnorm > 1e-8:
             return STATUS_UNBOUNDED, "primal ray found: objective unbounded above"
     return None
 
 
-def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
-    """Form the Schur complement M (X and Z were factored when the last step
-    was taken), border it and factor it; None if no factorization works.
+def _schur(data: _Data, x_blocks, z_inv):
+    """The HKM Schur complement M_mn = sum_j <A_{j,m}, X_j A_{j,n} Z_j^{-1}>.
 
-    The augmented KKT system is the HKM Schur complement bordered by the
+    Per block, U_n = A_n X for every row at once through the stacked
+    operator (sparse work), then T_n = U_n^T Z^{-1} = (X A_n) Z^{-1} as one
+    batched dense product, and M += A T^T with A as held.  Per block that is
+    2 nrows s^3 dense flops plus O(nnz (s + nrows)) sparse ones.  The
+    product is associated as (X A_n) Z^{-1}, as it was with dense A; the
+    free-variable endgame is sensitive enough to rounding that
+    X (A_n Z^{-1}) leaves other corpus levels short of the tolerances.
+    """
+    nrows = data.nrows
+    schur = np.zeros((nrows, nrows))
+    for a, stack, s, xb, zi in zip(data.a_ops, data.a_stacks, data.sizes, x_blocks, z_inv):
+        u = (stack @ xb).reshape(nrows, s, s)
+        t = np.matmul(u.transpose(0, 2, 1), zi).reshape(nrows, -1)
+        del u   # one (nrows, s, s) temporary less at the peak
+        schur += a @ t.T
+    return _sym(schur)
+
+
+def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
+    """Form the Schur complement M with ``_schur`` from the sparse A (X and Z
+    were factored when the last step was taken), border it and factor it;
+    None if no factorization works.
+
+    The augmented KKT system is the dense HKM Schur complement bordered by the
     free-variable columns, with a small regularization on the free block.
     It is factored once per iteration by pivoted LU on a diagonally
     equilibrated copy.  Late on the conditioning is order 1/mu^2 and a
@@ -301,11 +357,7 @@ def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
     for s, lc in zip(data.sizes, it.z_chol):
         w = solve_triangular(lc, np.eye(s), lower=True)
         z_inv.append(_sym(w.T @ w))
-    schur = np.zeros((nrows, nrows))
-    for a, af, xb, zi in zip(data.a_blocks, data.a_flat, it.x, z_inv):
-        t = np.matmul(np.matmul(xb, a), zi)
-        schur += af @ t.reshape(nrows, -1).T
-    schur = _sym(schur)
+    schur = _schur(data, it.x, z_inv)
 
     dim = nrows + nfree
     kmat = np.zeros((dim, dim))
@@ -348,8 +400,8 @@ def _kkt_apply(data: _Data, it: _Iterate, kkt: _Kkt, sol):
     eps * |M|, which late on is larger than ``tol_feas``.
     """
     nrows = data.nrows
-    atdv = _apply_At(data.a_blocks, sol[:nrows])
-    top = _apply_A(data.a_flat, [xb @ m @ zi for xb, m, zi in zip(it.x, atdv, kkt.z_inv)])
+    atdv = _apply_At(data, sol[:nrows])
+    top = _apply_A(data, [xb @ m @ zi for xb, m, zi in zip(it.x, atdv, kkt.z_inv)])
     return np.concatenate([top + data.bmat @ sol[nrows:], kkt.free_rows @ sol])
 
 
@@ -377,17 +429,17 @@ def _kkt_solve(data: _Data, it: _Iterate, kkt: _Kkt, h1, rf):
 def _newton(data: _Data, it: _Iterate, kkt: _Kkt, k_blocks, label: str):
     """Direction (dv, du, dx, dz) for complementarity target K (None means
     K = 0); a nonfinite one raises ValueError naming ``label``."""
-    h1 = -it.r_p - _apply_A(data.a_flat, it.x)
+    h1 = -it.r_p - _apply_A(data, it.x)
     adj = []
     for j, (xb, rd, zi) in enumerate(zip(it.x, it.r_d, kkt.z_inv)):
         term = xb @ rd @ zi
         if k_blocks is not None:
             term = term - k_blocks[j] @ zi
         adj.append(term)
-    h1 = h1 - _apply_A(data.a_flat, adj)
+    h1 = h1 - _apply_A(data, adj)
     # h1 = A(K Z^{-1}) - A(X) - A(X R_d Z^{-1}) - r_p
     dv, du = _kkt_solve(data, it, kkt, h1, it.r_f)
-    atdv = _apply_At(data.a_blocks, dv)
+    atdv = _apply_At(data, dv)
     dz = [at + rd for at, rd in zip(atdv, it.r_d)]
     dx = []
     for j, (xb, dzb, zi) in enumerate(zip(it.x, dz, kkt.z_inv)):

@@ -154,3 +154,37 @@ class TestBounds:
                 assert a <= b + 1e-7
             for val in values:
                 assert val <= oracle_val + 1e-6 * (1.0 + abs(oracle_val))
+
+
+class TestScale:
+    def test_large_level_stays_sparse(self):
+        # n = 6, k = 4: 3003 rows and Gram blocks of 210 and 84, whose dense
+        # coefficient cubes alone would take 1.2 GB
+        import tracemalloc
+
+        from polyopt.ensemble import random_polynomial
+        from polyopt.sdp import SdpProblem
+
+        inst = augment_archimedean(
+            PopInstance(f=random_polynomial(6, 4, np.random.default_rng(6))), 1.0)
+        tracemalloc.start()
+        try:
+            prob = build_sos_relaxation(inst, 4)
+            prob.validate()
+            back = SdpProblem.from_text(prob.to_text())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (prob.nrows, prob.block_sizes) == (3003, [210, 84])
+        assert peak < 64 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+        # both are in canonical triplet form, so equal triplets mean equal
+        # dense cubes (to_dense() of these blocks would not fit the budget)
+        for a, b in zip(back.a_blocks, prob.a_blocks):
+            assert (a.nrows, a.size) == (b.nrows, b.size)
+            for field in ("rows", "cols", "vals"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.array_equal(back.b_free, prob.b_free)
+        assert np.array_equal(back.rhs, prob.rhs)
+        assert np.array_equal(back.c_free, prob.c_free)
+        for c1, c2 in zip(back.c_blocks, prob.c_blocks):
+            assert np.array_equal(c1, c2)

@@ -1,9 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from polyopt import PopInstance, Polynomial, ball_constraint, build_sos_relaxation
+from polyopt import PopInstance, Polynomial, ball_constraint, build_moment_relaxation, \
+    build_sos_relaxation
 from polyopt.errors import ParseError
-from polyopt.sdp import SdpProblem
+from polyopt.gallery import gallery_instance
+from polyopt.sdp import CoeffBlock, SdpProblem
+
+from corpus import corpus_instances
 
 
 def tiny_problem():
@@ -24,9 +30,32 @@ class TestValidation:
         tiny_problem().validate()
 
     def test_asymmetric_rejected(self):
-        prob = tiny_problem()
-        prob.a_blocks[0][1, 0, 1] = 0.7
+        # A_1[0, 1] = 0.7 but A_1[1, 0] = 0.5, given as a cube and as triplets
+        a = np.zeros((2, 2, 2))
+        a[0, 0, 0] = 1.0
+        a[1, 0, 1], a[1, 1, 0] = 0.7, 0.5
+        triplets = CoeffBlock(2, 2, rows=[0, 1, 1], cols=[0, 1, 2], vals=[1.0, 0.7, 0.5])
+        messages = []
+        for block in (a, triplets):
+            prob = SdpProblem(block_sizes=[2], a_blocks=[block], b_free=np.array([[1.0], [0.0]]),
+                              rhs=np.array([1.0, 0.25]), c_free=np.array([1.0]))
+            with pytest.raises(ValueError, match="asymmetric") as err:
+                prob.validate()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_missing_transposed_entry_rejected(self):
+        # only the (0, 1) entry of A_1 is held
+        block = CoeffBlock(2, 2, rows=[0, 1], cols=[0, 1], vals=[1.0, 0.5])
+        prob = SdpProblem(block_sizes=[2], a_blocks=[block], b_free=np.array([[1.0], [0.0]]),
+                          rhs=np.array([1.0, 0.25]), c_free=np.array([1.0]))
         with pytest.raises(ValueError, match="asymmetric"):
+            prob.validate()
+
+    def test_block_shape_checked(self):
+        prob = tiny_problem()
+        prob.a_blocks = [CoeffBlock(3, 2, rows=[0], cols=[0], vals=[1.0])]
+        with pytest.raises(ValueError, match="shape"):
             prob.validate()
 
     def test_shape_mismatch(self):
@@ -44,7 +73,7 @@ class TestTextFormat:
         assert np.array_equal(back.rhs, prob.rhs)
         assert np.array_equal(back.b_free, prob.b_free)
         assert np.array_equal(back.c_free, prob.c_free)
-        for a, b in zip(back.a_blocks, prob.a_blocks):
+        for a, b in zip(back.to_dense(), prob.to_dense()):
             assert np.array_equal(a, b)
         assert back.name == "tiny"
 
@@ -56,7 +85,7 @@ class TestTextFormat:
         back = SdpProblem.from_text(prob.to_text())
         assert back.block_sizes == prob.block_sizes
         assert np.array_equal(back.rhs, prob.rhs)
-        for a, b in zip(back.a_blocks, prob.a_blocks):
+        for a, b in zip(back.to_dense(), prob.to_dense()):
             assert np.array_equal(a, b)
 
     def test_file_round_trip(self, tmp_path):
@@ -76,3 +105,50 @@ class TestTextFormat:
         text = tiny_problem().to_text().replace("END", "bogus 1 2\nEND")
         with pytest.raises(ParseError):
             SdpProblem.from_text(text)
+
+    def test_out_of_range_record(self):
+        text = tiny_problem().to_text().replace("END", "A 0 0 0 2 1.0\nEND")
+        with pytest.raises(ParseError):
+            SdpProblem.from_text(text)
+
+    @pytest.mark.parametrize("case, digest", [
+        ("motzkin-sos-4", "d213b919b6f77ae30e652a42e83b2bab6434805a8cb9d2380d1713b4ae0a4105"),
+        ("corpus-5-moment-3", "29c5e6573b0c5c5fb08ae7c4e2dc7b29b14e10323a58d32234cb9dd3a062916a"),
+    ])
+    def test_text_is_pinned(self, case, digest):
+        # digests of the text written when A was stored as dense cubes: the
+        # sparse storage writes the same records in the same order
+        if case == "motzkin-sos-4":
+            prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 4)
+        else:
+            prob = build_moment_relaxation(dict(corpus_instances(spawn_key=1, count=6))[5], 3)
+        assert hashlib.sha256(prob.to_text().encode()).hexdigest() == digest
+
+
+class TestCoeffBlock:
+    def test_dense_and_triplets_agree(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 3, 3)) * (rng.random((4, 3, 3)) < 0.4)
+        a = a + a.transpose(0, 2, 1)
+        blk = CoeffBlock.from_dense(a)
+        assert np.array_equal(blk.to_dense(), a)
+        assert len(blk.vals) == np.count_nonzero(a)
+        order = rng.permutation(len(blk.vals))
+        shuffled = CoeffBlock(4, 3, blk.rows[order], blk.cols[order], blk.vals[order])
+        for field in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(shuffled, field), getattr(blk, field))
+
+    def test_repeated_entries_add_up(self):
+        blk = CoeffBlock(2, 2, rows=[1, 0, 1], cols=[3, 0, 3], vals=[0.25, 1.0, 0.5])
+        assert blk.rows.tolist() == [0, 1]
+        assert blk.cols.tolist() == [0, 3]
+        assert blk.vals.tolist() == [1.0, 0.75]
+
+    def test_nbytes_is_what_is_held(self):
+        blk = CoeffBlock(2, 2, rows=[0, 1], cols=[0, 3], vals=[1.0, 2.0])
+        assert blk.nbytes == blk.rows.nbytes + blk.cols.nbytes + blk.vals.nbytes
+
+    def test_motzkin_level_6_is_small(self):
+        # the dense cubes of this level hold 35.4 MB
+        prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 6)
+        assert sum(a.nbytes for a in prob.a_blocks) <= 2 ** 20

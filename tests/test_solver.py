@@ -6,15 +6,19 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import polyopt
-from polyopt import PopInstance, Polynomial, build_moment_relaxation, build_sos_relaxation
+from polyopt import PopInstance, Polynomial, ball_constraint, build_moment_relaxation, \
+    build_sos_relaxation
 from polyopt.certify import extract_dual_moments
 from polyopt.errors import DegenerateDualError
 from polyopt.gallery import gallery_instance
 from polyopt.sdp import SdpProblem
-from polyopt.solver import SolverOptions, solve, write_trace_csv
+from polyopt.solver import SolverOptions, _apply_A, _apply_At, _schur, _start, solve, \
+    write_trace_csv
 
+from corpus import corpus_instances
 from oracles import admm_sdp_solve
 
 
@@ -106,7 +110,7 @@ class TestAgainstProjectionOracle:
             prob = random_strictly_feasible(rng, sizes, nrows)
             sol = solve(prob)
             assert sol.status == "optimal"
-            oracle_obj, _, _ = admm_sdp_solve(prob.c_blocks, prob.a_blocks, prob.rhs)
+            oracle_obj, _, _ = admm_sdp_solve(prob.c_blocks, prob.to_dense(), prob.rhs)
             scale = 1.0 + abs(oracle_obj)
             assert abs(sol.primal_objective - oracle_obj) <= 1e-5 * scale
 
@@ -138,7 +142,7 @@ class TestInvariants:
         sol1 = solve(prob)
         scaled = SdpProblem(
             block_sizes=list(prob.block_sizes),
-            a_blocks=[a.copy() for a in prob.a_blocks],
+            a_blocks=prob.to_dense(),
             b_free=prob.b_free.copy(), rhs=prob.rhs.copy(),
             c_free=prob.c_free.copy(),
             c_blocks=[3.0 * c for c in prob.c_blocks])
@@ -174,6 +178,49 @@ class TestDegenerate:
         sol = solve(prob)
         assert sol.status == "unbounded"
 
+
+# (builder, whether the solver holds its blocks as CSR)
+KERNEL_CASES = {
+    "motzkin-sos-4": (lambda: build_sos_relaxation(gallery_instance("motzkin-ball"), 4), True),
+    "corpus-5-moment-3": (lambda: build_moment_relaxation(
+        dict(corpus_instances(spawn_key=1, count=6))[5], 3), True),
+    "quadratic-sos-2": (lambda: build_sos_relaxation(PopInstance(
+        f=Polynomial(2, {(2, 0): 1.0, (1, 1): -0.4, (0, 1): 0.3}),
+        g=(ball_constraint(2, 1.0),)), 2), False),
+}
+
+
+class TestKernels:
+    """The sparse kernels against the dense formulas on the cubes of
+    ``to_dense()``, at a fixed positive definite X and Z^{-1}."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_match_dense_formulas(self, case):
+        build, sparse = KERNEL_CASES[case]
+        prob = build()
+        data, _ = _start(prob, SolverOptions())
+        assert all(scipy.sparse.issparse(a) == sparse for a in data.a_ops)
+        dense = prob.to_dense()
+        rng = np.random.default_rng(17)
+        x_blocks, z_inv = [], []
+        for s in prob.block_sizes:
+            for out in (x_blocks, z_inv):
+                q = rng.standard_normal((s, s))
+                out.append(q @ q.T + s * np.eye(s))
+        v = rng.standard_normal(prob.nrows)
+
+        def close(got, want):
+            return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+        want = sum(a.reshape(prob.nrows, -1) @ x.reshape(-1) for a, x in zip(dense, x_blocks))
+        assert close(_apply_A(data, x_blocks), want)
+        for got, a in zip(_apply_At(data, v), dense):
+            assert close(got, np.tensordot(v, a, axes=1))
+        want = np.zeros((prob.nrows, prob.nrows))
+        for a, x, zi in zip(dense, x_blocks, z_inv):
+            t = np.matmul(np.matmul(x, a), zi)
+            want += a.reshape(prob.nrows, -1) @ t.reshape(prob.nrows, -1).T
+        assert close(_schur(data, x_blocks, z_inv), (want + want.T) / 2.0)
 
 # Level 4 of corpus instance i=8 and of three stress-class draws: endgames in
 # which the Gram blocks grow large and the primal residual a step leaves is
