@@ -32,13 +32,18 @@ named phases that share one ``_Iterate``:
 * ``_step``        - the fraction-to-boundary step to the next iterate;
 * ``_final_status`` - the status, read off the best iterate seen.
 
-Free variables are handled by bordering the HKM Schur complement M with the
-free columns and solving the augmented symmetric indefinite system
-
-    [ M    B  ] [dv ]   [h1 ]
-    [ B^T -dI ] [-du] = [r_f]
-
-(d a small regularization) by pivoted LU with iterative refinement.
+Free variables make the Newton system M dv - B du = h1, B^T dv = r_f, with
+M the HKM Schur complement.  The free columns are eliminated exactly, with
+no regularization, by a Schur complement on them as SDPT3 does for free
+blocks (Toh, Todd and Tutuncu, Optim. Methods Softw. 11, 1999; Anjos and
+Burer, SIAM J. Optim. 18, 2007, compare the ways of handling free
+variables): rho B times the second equation is added to the first,
+K = M + rho B B^T is factored by Cholesky, and S = B^T K^{-1} B, of order
+nfree, by LU.  The B B^T term keeps K positive definite where M is
+singular, as on a row with no block entries (the moment form's y_0 = 1).
+Rounding can still leave K a hair short of positive definite, late on or
+when rows are dependent, so one retry adds a tiny shift to its unit
+diagonal; the refinement against the operator absorbs the shift.
 
 The endgame is where the digits are won or lost.  Late on M is
 ill-conditioned (order 1/mu^2, worse when the Gram blocks are large), and
@@ -71,11 +76,11 @@ which makes runs reproducible for identical inputs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse import csr_array
 
 from .sdp import CoeffBlock, SdpProblem
@@ -87,13 +92,13 @@ STATUS_UNBOUNDED = "unbounded"
 STATUS_MAX_ITER = "max_iter"
 
 STEP_FRACTION = 0.98  # fraction-to-boundary factor
-FREE_REG = 1e-10      # regularization of the free-variable block
 NEAR_TOL = 1e-5       # residual band accepted as near_optimal
 POLISH_ITERS = 3      # bonus iterations after reaching tolerance
 _MAX_REFINE = 10      # cap on KKT refinement rounds per solve
 _MAX_BACKOFF = 30     # cap on step halvings that look for a PD trial iterate
 _DIVERGENCE = 1e5     # score growth past a near-optimal best iterate that ends a run
 _DENSE_BELOW = 8192   # nrows*s*s under which a block's A is held dense, not as CSR
+_CHOL_SHIFT = 10.0 * np.finfo(float).eps  # times nrows: the retry's shift of K's unit diagonal
 
 
 @dataclass
@@ -176,12 +181,15 @@ class _Iterate:
 
 @dataclass
 class _Kkt:
-    """One iteration's factored KKT system."""
+    """One iteration's factored KKT system (``_factor_kkt``): the Cholesky
+    factor of K = M + rho B B^T scaled to unit diagonal, and the LU factors
+    of S = B^T K^{-1} B, the Schur complement on the free columns."""
 
     z_inv: list
-    free_rows: np.ndarray  # the last nfree rows of the bordered matrix
-    equil: np.ndarray      # diagonal equilibration of the factored copy
-    lu: tuple
+    rho: float
+    scale: np.ndarray      # K is factored as diag(scale) K diag(scale)
+    chol: np.ndarray       # its lower Cholesky factor (upper triangle unused)
+    s_lu: tuple | None = None  # None when there are no free columns
 
 
 def _sym(mat):
@@ -299,9 +307,15 @@ def _measure(data: _Data, it: _Iterate) -> dict:
             "err_dual": it.err_d, "rel_gap": it.rel_gap, "gap_slack": gap_slack}
 
 
-def _ray(data: _Data, it: _Iterate):
+def _ray(data: _Data, it: _Iterate, start_err_p: float):
     """(status, note) when a scaled dual ray certifies primal infeasibility or
-    a scaled primal ray certifies unboundedness, else None."""
+    a scaled primal ray certifies unboundedness, else None.
+
+    Infeasible-start path following only ever shrinks r_p, by (1 - alpha_p)
+    per step, so a primal ray is accepted only from an iterate whose primal
+    residual is no larger than the first iterate's (``start_err_p``): a
+    large X with a blown-up r_p is a breakdown, not a ray.
+    """
     vnorm = float(np.linalg.norm(it.v))
     if vnorm > 1e8 * data.b_scale:
         vn = it.v / vnorm
@@ -310,7 +324,8 @@ def _ray(data: _Data, it: _Iterate):
                 and ray_psd > -1e-6 and float(data.b @ vn) < -1e-8):
             return STATUS_INFEASIBLE, "dual ray found: primal certified infeasible"
     xnorm = max(float(np.linalg.norm(xb)) for xb in it.x) + float(np.linalg.norm(it.u))
-    if xnorm > 1e8 * data.rho_p and it.primal > 1e8 * (1.0 + abs(it.dual)):
+    if (xnorm > 1e8 * data.rho_p and it.primal > 1e8 * (1.0 + abs(it.dual))
+            and it.err_p <= start_err_p):
         resid_ray = float(np.linalg.norm(
             _apply_A(data, [xb / xnorm for xb in it.x]) + data.bmat @ (it.u / xnorm)))
         if resid_ray < 1e-6 and it.primal / xnorm > 1e-8:
@@ -341,68 +356,88 @@ def _schur(data: _Data, x_blocks, z_inv):
 
 def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
     """Form the Schur complement M with ``_schur`` from the sparse A (X and Z
-    were factored when the last step was taken), border it and factor it;
-    None if no factorization works.
+    were factored when the last step was taken) and factor the KKT system
+    around it; None if K cannot be factored.
 
-    The augmented KKT system is the dense HKM Schur complement bordered by the
-    free-variable columns, with a small regularization on the free block.
-    It is factored once per iteration by pivoted LU on a diagonally
-    equilibrated copy.  Late on the conditioning is order 1/mu^2 and a
-    refinement round against the formed matrix can make the realized
-    residual worse, so solves refine against ``_kkt_apply`` instead, and
-    only while that pays off.
+    The system is M dv - B du = h1, B^T dv = r_f.  Adding rho B times the
+    second equation to the first gives K dv - B du = h1 + rho B r_f with
+    K = M + rho B B^T.  M has a zero row wherever a row has no block
+    entries, such as the moment form's y_0 = 1; B covers such rows, so K
+    is positive definite there.  K is factored by Cholesky after scaling it
+    to unit diagonal, and the free columns by LU of the small
+    S = B^T K^{-1} B, so B^T dv = r_f holds without any regularization.
+    rho is mean diag(M) / mean diag(B B^T), which keeps both terms of K of
+    one size.
+
+    Rounding can still leave the scaled K a hair short of positive definite
+    when it is singular to working precision (dependent rows, or late on
+    when M is of order 1/mu^2): its smallest eigenvalue is then about
+    -nrows * eps, the size of the rounding in forming and factoring it.  So
+    a failed Cholesky is retried once with ``_CHOL_SHIFT * nrows`` added to
+    the unit diagonal.  Solves refine against ``_kkt_apply``, which absorbs
+    that shift and the rounding of the formed M.
     """
-    nrows, nfree = data.nrows, data.nfree
     z_inv = []
     for s, lc in zip(data.sizes, it.z_chol):
         w = solve_triangular(lc, np.eye(s), lower=True)
         z_inv.append(_sym(w.T @ w))
-    schur = _schur(data, it.x, z_inv)
-
-    dim = nrows + nfree
-    kmat = np.zeros((dim, dim))
-    kmat[:nrows, :nrows] = schur
-    if nfree:
-        # regularization sized against B^T M^{-1} B, the block the free
-        # columns induce, so it stays negligible as M blows up late on
-        base = max(float(np.abs(np.diag(schur)).mean()), 1e-300)
-        bscale = max(float((data.bmat ** 2).sum(axis=0).mean()), 1e-300)
-        kmat[:nrows, nrows:] = data.bmat
-        kmat[nrows:, :nrows] = data.bmat.T
-        kmat[nrows:, nrows:] = -FREE_REG * (bscale / base) * np.eye(nfree)
-    equil = 1.0 / np.sqrt(np.clip(np.abs(kmat).max(axis=1), 1e-300, None))
-    kkt_eq = kmat * equil[:, None] * equil[None, :]
-    jitter = 0.0
-    signs = np.concatenate([np.ones(nrows), -np.ones(nfree)])
-    probe = np.ones(dim)
-    for _ in range(5):
+    kmat = _schur(data, it.x, z_inv)
+    bmat, rho = data.bmat, 0.0
+    if data.nfree:
+        bbt = max(float((bmat ** 2).sum()) / data.nrows, 1e-300)
+        rho = max(float(np.diag(kmat).mean()), 1e-300) / bbt
+        kmat += rho * (bmat @ bmat.T)
+    scale = 1.0 / np.sqrt(np.clip(np.diag(kmat), 1e-300, None))
+    kmat *= scale[:, None] * scale[None, :]
+    # LAPACK directly: on the smallest levels scipy's checking wrappers cost
+    # more than the factorization and the solves with it
+    chol, info = dpotrf(kmat, lower=1, clean=0)
+    if info > 0:
+        kmat[np.diag_indices_from(kmat)] += _CHOL_SHIFT * data.nrows
+        chol, info = dpotrf(kmat, lower=1, clean=0)
+    if info != 0:
+        return None
+    kkt = _Kkt(z_inv, rho, scale, chol)
+    if data.nfree:
         try:
-            with warnings.catch_warnings():
-                # conditioning near 1/mu^2 is expected in the endgame; the
-                # refinement in _kkt_solve is what handles it
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu = lu_factor(kkt_eq + jitter * np.diag(signs))
-            if np.all(np.isfinite(lu_solve(lu, probe))):
-                return _Kkt(z_inv, kmat[nrows:], equil, lu)
-        except (np.linalg.LinAlgError, ValueError):
-            pass
-        # exactly singular (e.g. dependent equality rows): retry with a
-        # quasi-definiteness-preserving diagonal shift
-        jitter = max(jitter * 100.0, 1e-12)
-    return None
+            kkt.s_lu = lu_factor(bmat.T @ _k_solve(kkt, bmat))
+        except ValueError:   # nonfinite S
+            return None
+    return kkt
+
+
+def _k_solve(kkt: _Kkt, rhs):
+    """K^{-1} rhs through the Cholesky factor of the scaled K."""
+    scale = kkt.scale if rhs.ndim == 1 else kkt.scale[:, None]
+    return scale * dpotrs(kkt.chol, scale * rhs, lower=1)[0]
 
 
 def _kkt_apply(data: _Data, it: _Iterate, kkt: _Kkt, sol):
-    """The KKT operator with M applied as dv -> A(X A*(dv) Z^{-1}).
+    """The KKT operator (dv, du) -> (M dv - B du, B^T dv) with M applied as
+    dv -> A(X A*(dv) Z^{-1}).
 
     This is the map a full step realizes, so its residual is the r_p the
     step leaves behind; the formed M differs from it by rounding of order
     eps * |M|, which late on is larger than ``tol_feas``.
     """
-    nrows = data.nrows
-    atdv = _apply_At(data, sol[:nrows])
+    dv, du = sol[:data.nrows], sol[data.nrows:]
+    atdv = _apply_At(data, dv)
     top = _apply_A(data, [xb @ m @ zi for xb, m, zi in zip(it.x, atdv, kkt.z_inv)])
-    return np.concatenate([top + data.bmat @ sol[nrows:], kkt.free_rows @ sol])
+    return np.concatenate([top - data.bmat @ du, data.bmat.T @ dv])
+
+
+def _kkt_direct(data: _Data, kkt: _Kkt, rhs):
+    """(dv, du) from the factors for right-hand side (h1, r_f):
+    du = S^{-1}(r_f - B^T K^{-1} g) with g = h1 + rho B r_f, then
+    dv = K^{-1}(g + B du), so that B^T dv = r_f.  dv takes a second solve
+    with K rather than a product with K^{-1} B, which is then needed only
+    to form S and is not kept."""
+    h1, rf = rhs[:data.nrows], rhs[data.nrows:]
+    if not data.nfree:
+        return _k_solve(kkt, h1)
+    g = h1 + kkt.rho * (data.bmat @ rf)
+    du = lu_solve(kkt.s_lu, rf - data.bmat.T @ _k_solve(kkt, g))
+    return np.concatenate([_k_solve(kkt, g + data.bmat @ du), du])
 
 
 def _kkt_solve(data: _Data, it: _Iterate, kkt: _Kkt, h1, rf):
@@ -410,11 +445,11 @@ def _kkt_solve(data: _Data, it: _Iterate, kkt: _Kkt, h1, rf):
     while each round at least halves the residual; a round that makes it
     larger is never kept."""
     rhs = np.concatenate([h1, rf])
-    sol = kkt.equil * lu_solve(kkt.lu, kkt.equil * rhs)
+    sol = _kkt_direct(data, kkt, rhs)
     res = rhs - _kkt_apply(data, it, kkt, sol)
     res_norm = float(np.linalg.norm(res))
     for _ in range(_MAX_REFINE if res_norm > data.refine_floor else 0):
-        cand = sol + kkt.equil * lu_solve(kkt.lu, kkt.equil * res)
+        cand = sol + _kkt_direct(data, kkt, res)
         cand_res = rhs - _kkt_apply(data, it, kkt, cand)
         cand_norm = float(np.linalg.norm(cand_res))
         if not cand_norm < res_norm:
@@ -423,7 +458,7 @@ def _kkt_solve(data: _Data, it: _Iterate, kkt: _Kkt, h1, rf):
         sol, res, res_norm = cand, cand_res, cand_norm
         if not halved:
             break
-    return sol[:data.nrows], -sol[data.nrows:]
+    return sol[:data.nrows], sol[data.nrows:]
 
 
 def _newton(data: _Data, it: _Iterate, kkt: _Kkt, k_blocks, label: str):
@@ -549,7 +584,7 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
                 break
             polish_left -= 1
 
-        ray = _ray(data, it)
+        ray = _ray(data, it, trace[0]["err_primal"])
         if ray is not None:
             status = ray[0]
             notes.append(ray[1])

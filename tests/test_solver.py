@@ -14,9 +14,9 @@ from polyopt import PopInstance, Polynomial, ball_constraint, build_moment_relax
 from polyopt.certify import extract_dual_moments
 from polyopt.errors import DegenerateDualError
 from polyopt.gallery import gallery_instance
-from polyopt.sdp import SdpProblem
-from polyopt.solver import SolverOptions, _apply_A, _apply_At, _schur, _start, solve, \
-    write_trace_csv
+from polyopt.sdp import CoeffBlock, SdpProblem
+from polyopt.solver import SolverOptions, _apply_A, _apply_At, _factor_kkt, _Iterate, \
+    _kkt_apply, _kkt_direct, _measure, _ray, _schur, _start, solve, write_trace_csv
 
 from corpus import corpus_instances
 from oracles import admm_sdp_solve
@@ -67,6 +67,29 @@ def random_strictly_feasible(rng, sizes, nrows, with_c=True):
     return SdpProblem(block_sizes=list(sizes), a_blocks=a_blocks,
                       b_free=np.zeros((nrows, 0)), rhs=rhs,
                       c_free=np.zeros(0), c_blocks=c_blocks)
+
+
+def unbounded_problem():
+    """max gamma s.t. X11 - gamma = 1: gamma can grow without bound."""
+    return SdpProblem(block_sizes=[1], a_blocks=[np.array([[[1.0]]])],
+                      b_free=np.array([[-1.0]]), rhs=np.array([1.0]),
+                      c_free=np.array([1.0]))
+
+
+def with_row_repeated(prob, row):
+    """``prob`` with equality row ``row`` repeated as a last row: the same
+    feasible set and optimum, and a singular Schur complement M."""
+    blocks = []
+    for blk in prob.a_blocks:
+        pick = blk.rows == row
+        blocks.append(CoeffBlock(prob.nrows + 1, blk.size,
+                                 np.concatenate([blk.rows, np.full(pick.sum(), prob.nrows)]),
+                                 np.concatenate([blk.cols, blk.cols[pick]]),
+                                 np.concatenate([blk.vals, blk.vals[pick]])))
+    return SdpProblem(block_sizes=list(prob.block_sizes), a_blocks=blocks,
+                      b_free=np.vstack([prob.b_free, prob.b_free[row]]),
+                      rhs=np.append(prob.rhs, prob.rhs[row]), c_free=prob.c_free,
+                      c_blocks=prob.c_blocks, layout=prob.layout)
 
 
 class TestBasics:
@@ -171,12 +194,22 @@ class TestDegenerate:
         assert sol.status == "infeasible"
 
     def test_unbounded(self):
-        # max gamma s.t. X11 - gamma = 1: gamma can grow without bound.
-        prob = SdpProblem(block_sizes=[1], a_blocks=[np.array([[[1.0]]])],
-                          b_free=np.array([[-1.0]]), rhs=np.array([1.0]),
-                          c_free=np.array([1.0]))
-        sol = solve(prob)
+        sol = solve(unbounded_problem())
         assert sol.status == "unbounded"
+
+    def test_primal_ray_needs_a_bounded_residual(self):
+        # X11 and gamma near 1e12 with X11 - gamma = 1e5: a direction of
+        # unbounded objective to 5e-8, but r_p = 1 - 1e5 is far larger than
+        # at the cold start, which path following cannot produce
+        data, start = _start(unbounded_problem(), SolverOptions())
+        _measure(data, start)
+        big = np.array([[1e12 + 1e5]])
+        it = _Iterate([big], [np.eye(1)], [np.sqrt(big)], [np.eye(1)],
+                      np.array([1e12]), np.zeros(1))
+        _measure(data, it)
+        assert it.err_p > 1e3 * start.err_p
+        assert _ray(data, it, np.inf)[0] == "unbounded"
+        assert _ray(data, it, start.err_p) is None
 
 
 # (builder, whether the solver holds its blocks as CSR)
@@ -222,25 +255,87 @@ class TestKernels:
             want += a.reshape(prob.nrows, -1) @ t.reshape(prob.nrows, -1).T
         assert close(_schur(data, x_blocks, z_inv), (want + want.T) / 2.0)
 
-# Level 4 of corpus instance i=8 and of three stress-class draws: endgames in
-# which the Gram blocks grow large and the primal residual a step leaves is
-# limited by the accuracy of the KKT solve.  Which of them lands just above
-# the feasibility tolerance depends on the BLAS reduction order, so each is
-# solved under both 1 and 2 OpenBLAS threads.
+    @pytest.mark.parametrize("case", ["motzkin-sos-4", "corpus-5-moment-3"])
+    def test_factored_solve_meets_free_rows(self, case):
+        # the free columns are eliminated exactly: B^T dv = r_f holds to
+        # rounding from the factors alone, before any refinement
+        prob = KERNEL_CASES[case][0]()
+        data, _ = _start(prob, SolverOptions())
+        rng = np.random.default_rng(23)
+        blocks = {"x": [], "z": []}
+        for s in prob.block_sizes:
+            for side in blocks.values():
+                q = rng.standard_normal((s, s))
+                side.append(q @ q.T + s * np.eye(s))
+        it = _Iterate(blocks["x"], blocks["z"], [np.linalg.cholesky(x) for x in blocks["x"]],
+                      [np.linalg.cholesky(z) for z in blocks["z"]],
+                      np.zeros(prob.nfree), np.zeros(prob.nrows))
+        kkt = _factor_kkt(data, it)
+        rhs = rng.standard_normal(prob.nrows + prob.nfree)
+        sol = _kkt_direct(data, kkt, rhs)
+        rf = rhs[prob.nrows:]
+        assert np.linalg.norm(prob.b_free.T @ sol[:prob.nrows] - rf) <= 1e-12 * np.linalg.norm(rf)
+        res = rhs - _kkt_apply(data, it, kkt, sol)
+        assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(rhs)
+
+# SOS level 4 of corpus instance i=8 and of three stress-class draws:
+# endgames in which the Gram blocks grow large and the primal residual a step
+# leaves is limited by the accuracy of the KKT solve.  Also two moment-form
+# levels of ``FREE_COLUMN_LEVELS``, whose KKT solves carry 84 and 35 free
+# columns.  Which of them lands just above the feasibility tolerance depends
+# on the BLAS reduction order, so each is solved under both 1 and 2 OpenBLAS
+# threads.
 HARD_LEVELS_SCRIPT = """
 import json
-from polyopt import build_sos_relaxation, solve
+from polyopt import build_moment_relaxation, build_sos_relaxation, solve
 from corpus import corpus_instances, stress_instance
 
-cases = [("corpus i=8", dict(corpus_instances(spawn_key=1, count=9))[8])]
-cases += [(f"stress key={key}", stress_instance(key)) for key in (105, 109, 115)]
+corpus = dict(corpus_instances(spawn_key=1))
+cases = [("corpus i=8", build_sos_relaxation(corpus[8], 4))]
+cases += [(f"stress key={key}", build_sos_relaxation(stress_instance(key), 4))
+          for key in (105, 109, 115)]
+cases += [(f"corpus i={i} moment", build_moment_relaxation(corpus[i], corpus[i].min_level() + 1))
+          for i in (5, 29)]
 out = []
-for name, inst in cases:
-    sol = solve(build_sos_relaxation(inst, 4))
+for name, prob in cases:
+    sol = solve(prob)
     out.append({"case": name, "status": sol.status, "residuals": sol.residuals,
                 "notes": sol.notes})
 print(json.dumps(out))
 """
+
+
+# Moment form, spawn key 1, level min_level() + 1 of these corpus instances:
+# under a regularized, bordered LU of the KKT system each ran to max_iter and
+# ended near_optimal, with the primal residual drifting up once mu stalled.
+FREE_COLUMN_LEVELS = (4, 5, 7, 8, 16, 26, 29)
+
+
+class TestFreeColumns:
+    @pytest.mark.parametrize("index", FREE_COLUMN_LEVELS)
+    def test_moment_corpus_level_optimal(self, index):
+        inst = dict(corpus_instances(spawn_key=1, count=index + 1))[index]
+        sol = solve(build_moment_relaxation(inst, inst.min_level() + 1))
+        assert sol.status == "optimal", (sol.residuals, sol.notes)
+        assert max(sol.residuals.values()) <= 1e-8, sol.residuals
+
+    @pytest.mark.parametrize("form", ["sos", "moment"])
+    def test_repeated_row_keeps_the_bound(self, form):
+        # a repeated row leaves M (and K = M + rho B B^T) singular, which the
+        # Cholesky of K meets only through its shifted retry; in the moment
+        # form the repeated row is y_0 = 1, which has no block entries at all
+        if form == "sos":
+            prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 3)
+            row = 0
+        else:
+            prob = build_moment_relaxation(gallery_instance("quadratic-ball"), 2)
+            row = int(np.flatnonzero(~np.isin(np.arange(prob.nrows),
+                                              np.concatenate([b.rows for b in prob.a_blocks])))[0])
+        base = solve(prob)
+        sol = solve(with_row_repeated(prob, row))
+        assert base.status == sol.status == "optimal", (sol.residuals, sol.notes)
+        assert abs(sol.primal_objective - base.primal_objective) <= \
+            1e-8 * (1.0 + abs(base.primal_objective))
 
 
 class TestEndgame:
@@ -254,7 +349,7 @@ class TestEndgame:
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         results = json.loads(proc.stdout)
-        assert len(results) == 4
+        assert len(results) == 6
         for res in results:
             assert res["status"] == "optimal", res
             assert max(res["residuals"].values()) <= 1e-8, res
