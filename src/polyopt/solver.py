@@ -44,6 +44,20 @@ singular, as on a row with no block entries (the moment form's y_0 = 1).
 Rounding can still leave K a hair short of positive definite, late on or
 when rows are dependent, so one retry adds a tiny shift to its unit
 diagonal; the refinement against the operator absorbs the shift.
+Dependent free columns, as from a repeated equality constraint, would make
+S exactly singular, so ``_start`` keeps a column-independent subset of B,
+picked once by pivoted QR, and the dropped free values are reported as 0.
+
+The per-iteration, per-block kernels call LAPACK directly: ``dtrtrs`` for
+the triangular solves of ``_max_step`` and Z^{-1}, ``dpotrf``/``dpotrs``
+for K and ``dgetrf``/``dgetrs`` for S, with ``np.vdot`` for the inner
+products.  On the smallest levels (blocks of size 1-6, a few rows) the
+argument checks of scipy's wrappers cost several times the arithmetic.
+The calls are the ones the wrappers make, so the results are bit for bit
+the same, and the checks that matter are kept where the values arise:
+``_newton`` rejects a nonfinite direction before any step uses it,
+``_factor_kkt`` gives up on a nonfinite S or a nonzero ``info`` from a
+factorization, and a singular triangular factor raises LinAlgError.
 
 The endgame is where the digits are won or lost.  Late on M is
 ill-conditioned (order 1/mu^2, worse when the Gram blocks are large), and
@@ -79,8 +93,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg import qr, solve_triangular
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs, dtrtrs
 from scipy.sparse import csr_array
 
 from .sdp import CoeffBlock, SdpProblem
@@ -142,6 +156,7 @@ class _Data:
     bmat: np.ndarray
     c_free: np.ndarray
     c_blocks: list
+    free_cols: np.ndarray | None  # the columns of the problem's B kept in bmat; None: all
     rho_p: float          # initial X scale, the yardstick of the primal-ray test
     b_scale: float
     c_scale: float
@@ -210,10 +225,21 @@ def _apply_At(data: _Data, v):
     return [(at @ v).reshape(s, s) for at, s in zip(data.a_ts, data.sizes)]
 
 
+def _lower_solve(chol_lower, rhs):
+    """L^{-1} rhs for a C-ordered lower triangular L, by ``dtrtrs`` on the
+    upper triangular L^T in Fortran order, which is the call
+    ``solve_triangular(L, rhs, lower=True)`` makes for such an L, without
+    its checks; a zero on the diagonal of L raises LinAlgError."""
+    x, info = dtrtrs(chol_lower.T, rhs, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular triangular factor (dtrtrs info {info})")
+    return x
+
+
 def _max_step(chol_lower, delta):
     """Largest alpha with P + alpha*D PSD, via L^{-1} D L^{-T} eigenvalues."""
-    w = solve_triangular(chol_lower, delta, lower=True)
-    w = solve_triangular(chol_lower, w.T, lower=True).T
+    w = _lower_solve(chol_lower, delta)
+    w = _lower_solve(chol_lower, w.T).T
     lam_min = np.linalg.eigvalsh(_sym(w)).min()
     if lam_min >= -1e-14:
         return np.inf
@@ -258,11 +284,41 @@ def _operators(blk: CoeffBlock):
     return a, a.T.tocsr(), stack
 
 
+def _independent_columns(bmat, c_free):
+    """Indices of a column-independent subset of B, picked by pivoted QR.
+
+    None keeps every column: B has full column rank, or dropping columns
+    would change the problem.  That is so unless c's dropped entries are the
+    same combination of its kept entries as B's dropped columns are of its
+    kept columns; otherwise a direction in B's null space moves the
+    objective."""
+    if bmat.shape[1] == 0:
+        return None
+    r, piv = qr(bmat, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.count_nonzero(diag > max(bmat.shape) * np.finfo(float).eps * diag[0]))
+    if rank == bmat.shape[1]:
+        return None
+    # B[:, piv] = Q R, so the dropped columns are B_kept W with W = R11^{-1} R12
+    w = solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    c_piv = c_free[piv]
+    if np.linalg.norm(c_piv[rank:] - w.T @ c_piv[:rank]) > 1e-12 * (1.0 + np.linalg.norm(c_free)):
+        return None
+    return np.sort(piv[:rank])
+
+
 def _start(prob: SdpProblem, opts: SolverOptions):
-    """The phases' view of the problem, and the big initialization from its norms."""
+    """The phases' view of the problem, and the big initialization from its norms.
+
+    Dependent free columns (a repeated equality constraint gives them) would
+    make S = B^T K^{-1} B exactly singular, so only a column-independent
+    subset of B is kept; ``solve`` reports the dropped free values as 0."""
     sizes = prob.block_sizes
     a_ops, a_ts, a_stacks = zip(*(_operators(blk) for blk in prob.a_blocks))
     b, bmat, c_free = prob.rhs, prob.b_free, prob.c_free
+    free_cols = _independent_columns(bmat, c_free)
+    if free_cols is not None:
+        bmat, c_free = bmat[:, free_cols], c_free[free_cols]
     anorm = np.sqrt(sum(np.bincount(blk.rows, weights=blk.vals ** 2, minlength=prob.nrows)
                         for blk in prob.a_blocks) + (bmat ** 2).sum(axis=1))
     rho_p = max(10.0, np.sqrt(max(sizes)),
@@ -272,18 +328,18 @@ def _start(prob: SdpProblem, opts: SolverOptions):
                 float(np.linalg.norm(c_free)))
     b_scale = 1.0 + float(np.linalg.norm(b))
     c_scale = 1.0 + max(cnorm, float(np.linalg.norm(c_free)))
-    data = _Data(sizes, prob.nrows, prob.nfree, sum(sizes), a_ops, a_ts, a_stacks, b, bmat,
-                 c_free, prob.c_blocks, rho_p, b_scale, c_scale,
+    data = _Data(sizes, prob.nrows, bmat.shape[1], sum(sizes), a_ops, a_ts, a_stacks, b, bmat,
+                 c_free, prob.c_blocks, free_cols, rho_p, b_scale, c_scale,
                  1e-2 * opts.tol_feas * min(b_scale, c_scale))
     # the Cholesky factor of rho I is sqrt(rho) I, bit for bit
     eyes = [np.eye(s) for s in sizes]
     return data, _Iterate([rho_p * e for e in eyes], [rho_d * e for e in eyes],
                           [np.sqrt(rho_p) * e for e in eyes], [np.sqrt(rho_d) * e for e in eyes],
-                          np.zeros(prob.nfree), np.zeros(prob.nrows))
+                          np.zeros(bmat.shape[1]), np.zeros(prob.nrows))
 
 
 def _objectives(data: _Data, it: _Iterate):
-    primal = float(data.c_free @ it.u) + sum(float(np.tensordot(cb, xb))
+    primal = float(data.c_free @ it.u) + sum(float(np.vdot(cb, xb))
                                              for cb, xb in zip(data.c_blocks, it.x))
     return primal, float(data.b @ it.v)
 
@@ -295,13 +351,13 @@ def _measure(data: _Data, it: _Iterate) -> dict:
     atv = _apply_At(data, it.v)
     it.r_d = [at - cb - zb for at, cb, zb in zip(atv, data.c_blocks, it.z)]
     it.r_f = data.c_free - data.bmat.T @ it.v
-    it.mu = sum(float(np.tensordot(xb, zb)) for xb, zb in zip(it.x, it.z)) / data.ntotal
+    it.mu = sum(float(np.vdot(xb, zb)) for xb, zb in zip(it.x, it.z)) / data.ntotal
     it.primal, it.dual = _objectives(data, it)
     it.err_p = float(np.linalg.norm(it.r_p)) / data.b_scale
     it.err_d = max(max(float(np.linalg.norm(rd)) for rd in it.r_d),
                    float(np.linalg.norm(it.r_f))) / data.c_scale
     it.rel_gap = abs(it.dual - it.primal) / (1.0 + (abs(it.primal) + abs(it.dual)) / 2.0)
-    gap_slack = (sum(abs(float(np.tensordot(rd, xb))) for rd, xb in zip(it.r_d, it.x))
+    gap_slack = (sum(abs(float(np.vdot(rd, xb))) for rd, xb in zip(it.r_d, it.x))
                  + abs(float(it.r_f @ it.u)) + abs(float(it.r_p @ it.v)))
     return {"mu": it.mu, "primal": it.primal, "dual": it.dual, "err_primal": it.err_p,
             "err_dual": it.err_d, "rel_gap": it.rel_gap, "gap_slack": gap_slack}
@@ -357,7 +413,7 @@ def _schur(data: _Data, x_blocks, z_inv):
 def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
     """Form the Schur complement M with ``_schur`` from the sparse A (X and Z
     were factored when the last step was taken) and factor the KKT system
-    around it; None if K cannot be factored.
+    around it; None if K or S cannot be factored.
 
     The system is M dv - B du = h1, B^T dv = r_f.  Adding rho B times the
     second equation to the first gives K dv - B du = h1 + rho B r_f with
@@ -379,7 +435,7 @@ def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
     """
     z_inv = []
     for s, lc in zip(data.sizes, it.z_chol):
-        w = solve_triangular(lc, np.eye(s), lower=True)
+        w = _lower_solve(lc, np.eye(s))
         z_inv.append(_sym(w.T @ w))
     kmat = _schur(data, it.x, z_inv)
     bmat, rho = data.bmat, 0.0
@@ -389,8 +445,6 @@ def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
         kmat += rho * (bmat @ bmat.T)
     scale = 1.0 / np.sqrt(np.clip(np.diag(kmat), 1e-300, None))
     kmat *= scale[:, None] * scale[None, :]
-    # LAPACK directly: on the smallest levels scipy's checking wrappers cost
-    # more than the factorization and the solves with it
     chol, info = dpotrf(kmat, lower=1, clean=0)
     if info > 0:
         kmat[np.diag_indices_from(kmat)] += _CHOL_SHIFT * data.nrows
@@ -399,10 +453,13 @@ def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
         return None
     kkt = _Kkt(z_inv, rho, scale, chol)
     if data.nfree:
-        try:
-            kkt.s_lu = lu_factor(bmat.T @ _k_solve(kkt, bmat))
-        except ValueError:   # nonfinite S
+        smat = bmat.T @ _k_solve(kkt, bmat)
+        if not np.all(np.isfinite(smat)):
             return None
+        lu, piv, info = dgetrf(smat)
+        if info != 0:
+            return None
+        kkt.s_lu = lu, piv
     return kkt
 
 
@@ -436,7 +493,7 @@ def _kkt_direct(data: _Data, kkt: _Kkt, rhs):
     if not data.nfree:
         return _k_solve(kkt, h1)
     g = h1 + kkt.rho * (data.bmat @ rf)
-    du = lu_solve(kkt.s_lu, rf - data.bmat.T @ _k_solve(kkt, g))
+    du = dgetrs(*kkt.s_lu, rf - data.bmat.T @ _k_solve(kkt, g))[0]
     return np.concatenate([_k_solve(kkt, g + data.bmat @ du), du])
 
 
@@ -495,7 +552,7 @@ def _centering(data: _Data, it: _Iterate, predictor, opts: SolverOptions, conver
     _, _, dx_a, dz_a = predictor
     alpha_p = min(1.0, min(_max_step(lc, d) for lc, d in zip(it.x_chol, dx_a)))
     alpha_d = min(1.0, min(_max_step(lc, d) for lc, d in zip(it.z_chol, dz_a)))
-    mu_aff = sum(float(np.tensordot(xb + alpha_p * dx, zb + alpha_d * dz))
+    mu_aff = sum(float(np.vdot(xb + alpha_p * dx, zb + alpha_d * dz))
                  for xb, dx, zb, dz in zip(it.x, dx_a, it.z, dz_a)) / data.ntotal
     sigma = min(1.0, max((max(mu_aff, 0.0) / it.mu) ** 3, 1e-12))
     # Endgame guard: if mu collapses far below the remaining infeasibility,
@@ -618,8 +675,12 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     else:
         # a ray was found, or max_iter < 1 and no iteration measured ``it``
         it.primal, it.dual = _objectives(data, it)
+    u = it.u
+    if data.free_cols is not None:
+        u = np.zeros(prob.nfree)
+        u[data.free_cols] = it.u
     return SdpSolution(
-        status=status, x_blocks=it.x, free_values=it.u, dual_vector=it.v, z_blocks=it.z,
+        status=status, x_blocks=it.x, free_values=u, dual_vector=it.v, z_blocks=it.z,
         primal_objective=it.primal, dual_objective=it.dual, iterations=iteration,
         residuals={"primal": it.err_p, "dual": it.err_d, "gap": it.rel_gap},
         trace=trace, notes=notes)

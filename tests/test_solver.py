@@ -4,22 +4,28 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import polyopt
 from polyopt import PopInstance, Polynomial, ball_constraint, build_moment_relaxation, \
     build_sos_relaxation
-from polyopt.certify import extract_dual_moments
+from polyopt import solver as solver_module
+from polyopt.certify import extract_certificate, extract_dual_moments, verify_certificate
 from polyopt.errors import DegenerateDualError
 from polyopt.gallery import gallery_instance
 from polyopt.sdp import CoeffBlock, SdpProblem
 from polyopt.solver import SolverOptions, _apply_A, _apply_At, _factor_kkt, _Iterate, \
-    _kkt_apply, _kkt_direct, _measure, _ray, _schur, _start, solve, write_trace_csv
+    _k_solve, _kkt_apply, _kkt_direct, _lower_solve, _max_step, _measure, _ray, _schur, \
+    _start, _sym, solve, write_trace_csv
 
 from corpus import corpus_instances
 from oracles import admm_sdp_solve
+from ratpoly import RatPoly
 
 
 def scalar_bound_problem():
@@ -212,15 +218,29 @@ class TestDegenerate:
         assert _ray(data, it, start.err_p) is None
 
 
+QUADRATIC = PopInstance(f=Polynomial(2, {(2, 0): 1.0, (1, 1): -0.4, (0, 1): 0.3}),
+                       g=(ball_constraint(2, 1.0),))
+
 # (builder, whether the solver holds its blocks as CSR)
 KERNEL_CASES = {
     "motzkin-sos-4": (lambda: build_sos_relaxation(gallery_instance("motzkin-ball"), 4), True),
     "corpus-5-moment-3": (lambda: build_moment_relaxation(
         dict(corpus_instances(spawn_key=1, count=6))[5], 3), True),
-    "quadratic-sos-2": (lambda: build_sos_relaxation(PopInstance(
-        f=Polynomial(2, {(2, 0): 1.0, (1, 1): -0.4, (0, 1): 0.3}),
-        g=(ball_constraint(2, 1.0),)), 2), False),
+    "quadratic-sos-1": (lambda: build_sos_relaxation(QUADRATIC, 1), False),
+    "quadratic-sos-2": (lambda: build_sos_relaxation(QUADRATIC, 2), False),
 }
+
+
+def random_iterate(prob, rng):
+    """An iterate with random positive definite X and Z and their factors."""
+    blocks = {"x": [], "z": []}
+    for s in prob.block_sizes:
+        for side in blocks.values():
+            q = rng.standard_normal((s, s))
+            side.append(q @ q.T + s * np.eye(s))
+    return _Iterate(blocks["x"], blocks["z"], [np.linalg.cholesky(x) for x in blocks["x"]],
+                    [np.linalg.cholesky(z) for z in blocks["z"]],
+                    np.zeros(prob.nfree), np.zeros(prob.nrows))
 
 
 class TestKernels:
@@ -262,14 +282,7 @@ class TestKernels:
         prob = KERNEL_CASES[case][0]()
         data, _ = _start(prob, SolverOptions())
         rng = np.random.default_rng(23)
-        blocks = {"x": [], "z": []}
-        for s in prob.block_sizes:
-            for side in blocks.values():
-                q = rng.standard_normal((s, s))
-                side.append(q @ q.T + s * np.eye(s))
-        it = _Iterate(blocks["x"], blocks["z"], [np.linalg.cholesky(x) for x in blocks["x"]],
-                      [np.linalg.cholesky(z) for z in blocks["z"]],
-                      np.zeros(prob.nfree), np.zeros(prob.nrows))
+        it = random_iterate(prob, rng)
         kkt = _factor_kkt(data, it)
         rhs = rng.standard_normal(prob.nrows + prob.nfree)
         sol = _kkt_direct(data, kkt, rhs)
@@ -277,6 +290,52 @@ class TestKernels:
         assert np.linalg.norm(prob.b_free.T @ sol[:prob.nrows] - rf) <= 1e-12 * np.linalg.norm(rf)
         res = rhs - _kkt_apply(data, it, kkt, sol)
         assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("case", ["quadratic-sos-1", "quadratic-sos-2", "corpus-5-moment-3"])
+    def test_lapack_calls_match_scipy_wrappers(self, case):
+        # block sizes 3/1, 6/3 and 20/10/10 (84 free columns): the direct
+        # LAPACK calls give bit for bit what the checking wrappers gave
+        prob = KERNEL_CASES[case][0]()
+        data, _ = _start(prob, SolverOptions())
+        rng = np.random.default_rng(29)
+        it = random_iterate(prob, rng)
+        kkt = _factor_kkt(data, it)
+        for lc, zi in zip(it.z_chol, kkt.z_inv):
+            w = scipy.linalg.solve_triangular(lc, np.eye(len(lc)), lower=True)
+            assert np.array_equal(zi, _sym(w.T @ w))
+        for lc in it.x_chol + it.z_chol:
+            s = len(lc)
+            delta = _sym(rng.standard_normal((s, s)))
+            w = scipy.linalg.solve_triangular(lc, delta, lower=True)
+            w = scipy.linalg.solve_triangular(lc, w.T, lower=True).T
+            assert np.array_equal(_lower_solve(lc, delta), scipy.linalg.solve_triangular(
+                lc, delta, lower=True))
+            lam_min = np.linalg.eigvalsh(_sym(w)).min()
+            assert _max_step(lc, delta) == (np.inf if lam_min >= -1e-14 else -1.0 / lam_min)
+        s_lu = scipy.linalg.lu_factor(data.bmat.T @ _k_solve(kkt, data.bmat))
+        assert all(np.array_equal(got, want) for got, want in zip(kkt.s_lu, s_lu))
+        rhs = rng.standard_normal(prob.nrows + prob.nfree)
+        h1, rf = rhs[:prob.nrows], rhs[prob.nrows:]
+        g = h1 + kkt.rho * (data.bmat @ rf)
+        du = scipy.linalg.lu_solve(s_lu, rf - data.bmat.T @ _k_solve(kkt, g))
+        assert np.array_equal(_kkt_direct(data, kkt, rhs)[prob.nrows:], du)
+
+    def test_nonfinite_schur_complement_fails_the_factorization(self, monkeypatch):
+        prob = KERNEL_CASES["corpus-5-moment-3"][0]()
+        data, _ = _start(prob, SolverOptions())
+        it = random_iterate(prob, np.random.default_rng(31))
+        assert _factor_kkt(data, it) is not None
+        # K factors, but K^{-1} B, and with it S = B^T K^{-1} B, is nonfinite
+        monkeypatch.setattr(solver_module, "_k_solve",
+                            lambda kkt, rhs: np.full(rhs.shape, np.nan))
+        assert _factor_kkt(data, it) is None
+
+    def test_singular_triangular_factor_raises(self):
+        lower = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 3.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            _lower_solve(lower, np.eye(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            _max_step(lower, np.eye(3))
 
 # SOS level 4 of corpus instance i=8 and of three stress-class draws:
 # endgames in which the Gram blocks grow large and the primal residual a step
@@ -336,6 +395,65 @@ class TestFreeColumns:
         assert base.status == sol.status == "optimal", (sol.residuals, sol.notes)
         assert abs(sol.primal_objective - base.primal_objective) <= \
             1e-8 * (1.0 + abs(base.primal_objective))
+
+
+def ratpoly_defect(cert, inst):
+    """f - gamma - sum phi_i h_i - sum sigma_j g_j in exact arithmetic, with
+    each sigma_j expanded from the certificate's Gram matrix."""
+    n = inst.nvars
+    defect = RatPoly.from_float_poly(inst.f) - RatPoly(n, {(0,) * n: cert.gamma})
+    for phi, h in zip(cert.phi, inst.h):
+        defect = defect - RatPoly.from_float_poly(phi) * RatPoly.from_float_poly(h)
+    g_all = [Polynomial.constant(n, 1.0)] + list(inst.g)
+    for gram, g in zip(cert.sigma_grams, g_all):
+        terms = {}
+        for p, mp in enumerate(gram.basis):
+            for q, mq in enumerate(gram.basis):
+                mono = tuple(a + b for a, b in zip(mp, mq))
+                terms[mono] = terms.get(mono, Fraction(0)) + Fraction(gram.matrix[p, q])
+        defect = defect - RatPoly(n, terms) * RatPoly.from_float_poly(g)
+    return defect
+
+
+class TestDependentFreeColumns:
+    def test_repeated_equality_keeps_the_bound(self):
+        # h repeated gives B two equal sets of columns, so S = B^T K^{-1} B is
+        # exactly singular unless a column-independent subset is kept
+        f = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 0.3})
+        h = Polynomial(2, {(1, 0): 1.0, (0, 1): -1.0})
+        single = PopInstance(f=f, h=(h,), g=(ball_constraint(2, 1.0),))
+        repeated = PopInstance(f=f, h=(h, h), g=(ball_constraint(2, 1.0),))
+        base_prob = build_sos_relaxation(single, 2)
+        prob = build_sos_relaxation(repeated, 2)
+        assert _start(base_prob, SolverOptions())[0].free_cols is None
+        assert len(_start(prob, SolverOptions())[0].free_cols) == base_prob.nfree
+        base = solve(base_prob)
+        sol = solve(prob)
+        assert base.status == sol.status == "optimal", (sol.notes, sol.residuals)
+        assert abs(sol.primal_objective - base.primal_objective) <= \
+            1e-8 * abs(base.primal_objective)
+        cert = extract_certificate(prob, sol, repeated)
+        assert verify_certificate(cert, repeated)[0]
+        defect = ratpoly_defect(cert, repeated)
+        assert max(abs(c) for c in defect.terms.values()) <= 1e-6 * (1.0 + f.coeff_norm())
+        assert all(np.linalg.eigvalsh(gram.matrix).min() >= -1e-12 for gram in cert.sigma_grams)
+
+    def test_dropped_free_values_are_zero(self):
+        # max u1 + 2 u2 s.t. X11 + u1 + 2 u2 = 1 (optimum 1): pivoted QR keeps
+        # the larger column, u2, and u1 is reported as 0
+        prob = SdpProblem(block_sizes=[1], a_blocks=[np.array([[[1.0]]])],
+                          b_free=np.array([[1.0, 2.0]]), rhs=np.array([1.0]),
+                          c_free=np.array([1.0, 2.0]))
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert sol.primal_objective == pytest.approx(1.0, abs=1e-7)
+        assert sol.free_values[0] == 0.0
+        assert sol.free_values[1] == pytest.approx(0.5, abs=1e-7)
+        # with c = (1, 1) the objective grows along u = (2, -1): no column
+        # may be dropped, since that would bound an unbounded problem
+        prob.c_free = np.array([1.0, 1.0])
+        assert _start(prob, SolverOptions())[0].free_cols is None
+        assert solve(prob).status != "optimal"
 
 
 class TestEndgame:
