@@ -71,7 +71,7 @@ def _default(obj):
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args)
-    level = args.level or inst.min_level()
+    level = args.level if args.level is not None else inst.min_level()
     builder = build_moment_relaxation if args.form == "moment" else build_sos_relaxation
     prob = builder(inst, level)
     if args.export_sdp:
@@ -150,7 +150,7 @@ def cmd_check_local(args) -> int:
 
 def cmd_certify(args) -> int:
     inst = _load_instance(args)
-    level = args.level or inst.min_level()
+    level = args.level if args.level is not None else inst.min_level()
     prob = build_sos_relaxation(inst, level)
     sol = solve(prob, _solver_options(args))
     if not sol.ok:

@@ -12,10 +12,13 @@ the sigma_j, and free scalars for gamma and the phi coefficients.
 The moment form is its dual: minimize sum f_alpha y_alpha over pseudo-moment
 vectors y with y_0 = 1, the moment matrix and the localizing matrices
 (M(g y))_{pq} = sum_gamma g_gamma y_{p+q+gamma} PSD, and y orthogonal to the
-truncated ideal of the equalities.
+truncated ideal of the equalities.  It is built as exactly that, the SDP dual
+(``SdpProblem.dual()``) of the SOS form, so the monomial algebra lives in the
+SOS builder alone.  Its rows are y_0 = 1, the ideal rows (with equalities),
+then the Gram-entry rows.
 
 Both builders are deterministic: the same instance and level produce
-identical problem data, with rows in graded-lex monomial order.
+identical problem data, with the SOS rows in graded-lex monomial order.
 """
 
 from __future__ import annotations
@@ -162,71 +165,23 @@ def build_sos_relaxation(inst: PopInstance, k: int) -> SdpProblem:
 
 
 def build_moment_relaxation(inst: PopInstance, k: int) -> SdpProblem:
-    min_k = _check_level(inst, k)
-    n = inst.nvars
-    free_basis = basis(n, 2 * k)
-    nfree = len(free_basis)
-    y_index = free_basis.index
+    """The level-k moment relaxation: the SDP dual of the SOS form.
 
-    g_all, bases = _gram_bases(inst, k)
-    nrows = 1 + sum(len(b) * (len(b) + 1) // 2 for b in bases)
-    for h in inst.h:
-        nrows += len(basis(n, 2 * k - int(h.degree)))
-
-    a_blocks = []
-    b_free = np.zeros((nrows, nfree))
-    rhs = np.zeros(nrows)
-
-    row = 0
-    b_free[row, y_index[(0,) * n]] = 1.0
-    rhs[row] = 1.0
-    row += 1
-
-    # Link each Gram block entry to the pseudo-moments it localizes: entry
-    # (p, q) of block j gets its own row, whose A entries are 1 (p = q) or
-    # 1/2 at (p, q) and (q, p), so the triplets come out in sorted order.
-    for g, bas in zip(g_all, bases):
-        size = len(bas)
-        gterms = g.sorted_terms()
-        t_rows, t_cols, t_vals = [], [], []
-        for p in range(size):
-            for q in range(p, size):
-                if p == q:
-                    t_rows.append(row)
-                    t_cols.append(p * size + p)
-                    t_vals.append(1.0)
-                else:
-                    t_rows += (row, row)
-                    t_cols += (p * size + q, q * size + p)
-                    t_vals += (0.5, 0.5)
-                prod = monomial_mul(bas[p], bas[q])
-                for gamma, coeff in gterms:
-                    b_free[row, y_index[monomial_mul(prod, gamma)]] -= coeff
-                row += 1
-        a_blocks.append(CoeffBlock(nrows, size, t_rows, t_cols, t_vals))
-
-    # y orthogonal to the truncated ideal: L_y(h_i x^beta) = 0.
-    for h in inst.h:
-        hterms = h.sorted_terms()
-        for beta in basis(n, 2 * k - int(h.degree)):
-            for gamma, coeff in hterms:
-                b_free[row, y_index[monomial_mul(beta, gamma)]] += coeff
-            row += 1
-
-    # Maximization form: the moment optimum is minus the solved objective.
-    c_free = np.zeros(nfree)
-    for mono, coeff in inst.f.sorted_terms():
-        c_free[y_index[mono]] = -coeff
-
-    layout = MomentLayout(
-        kind="moment", level=k, nvars=n,
-        free_monomials=tuple(free_basis.entries),
-        block_bases=[tuple(b.entries) for b in bases],
-        min_level=min_k)
-    return SdpProblem(
-        block_sizes=[len(b) for b in bases],
-        a_blocks=a_blocks, b_free=b_free, rhs=rhs, c_free=c_free,
-        name=f"moment-level-{k}", layout=layout)
+    The pseudo-moments y, indexed by the SOS rows' monomials, are the free
+    variables.  The rows are y_0 = 1, then L_y(h_i x^beta) = 0 for each
+    equality and multiplier monomial, then one row per Gram entry p <= q of
+    each block j, setting it to (M(g_j y))_{pq}.  The objective is
+    max -L_y(f), so the bound is minus the solved objective.
+    """
+    sos = build_sos_relaxation(inst, k)
+    prob = sos.dual()
+    prob.name = f"moment-level-{k}"
+    prob.layout = MomentLayout(
+        kind="moment", level=k, nvars=sos.layout.nvars,
+        free_monomials=sos.layout.row_monomials,
+        block_bases=sos.layout.block_bases,
+        min_level=sos.layout.min_level)
+    return prob
 
 
 def relaxation_value(prob: SdpProblem, sol) -> float:

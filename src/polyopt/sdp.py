@@ -7,7 +7,10 @@ The canonical problem shape used throughout the toolkit is the maximization
                 X_j  PSD,   u free,
 
 whose dual is:  minimize rhs . v  subject to  sum_m v_m A_{j,m} - C_j PSD for
-every block j and  B^T v = c_free.
+every block j and  B^T v = c_free.  ``SdpProblem.dual()`` writes that dual in
+the same maximization form, with v free and the slack of block j as X_j:
+maximize -rhs . v subject to the nfree rows B^T v = c_free, then one row per
+block entry p <= q.  The moment relaxation is built this way from the SOS one.
 
 The coefficient matrices of a relaxation are well under 2% nonzero, so each
 block's A_{j,0..nrows-1} is stored as a ``CoeffBlock``: triplets (row m, flat
@@ -159,6 +162,35 @@ class SdpProblem:
         """The coefficient matrices as one dense (nrows, s, s) cube per block."""
         return [a.to_dense() for a in self.a_blocks]
 
+    def dual(self) -> "SdpProblem":
+        """The dual in this maximization form (module docstring): v free, the rows
+        B^T v = c_free, then per block j and p <= q in ``np.triu_indices``
+        order Z_j[p,q] - A_j*(v)[p,q] = -C_j[p,q] with the slack Z_j as block j."""
+        nrows = self.nfree + sum(s * (s + 1) // 2 for s in self.block_sizes)
+        a_blocks, b_rows, rhs, first = [], [self.b_free.T], [self.c_free], self.nfree
+        for a, c, s in zip(self.a_blocks, self.c_blocks, self.block_sizes):
+            p, q = np.triu_indices(s)
+            # Z[p,q] = <E_pq, Z>: E_pq is 1 at (p,p), else 1/2 at (p,q) and (q,p);
+            # kept pairwise, the triplets come out sorted
+            keep = np.column_stack([np.ones(len(p), bool), p != q]).ravel()
+            a_blocks.append(CoeffBlock(
+                nrows, s, np.repeat(np.arange(first, first + len(p)), 2)[keep],
+                np.column_stack([p * s + q, q * s + p]).ravel()[keep],
+                np.repeat(np.where(p == q, 1.0, 0.5), 2)[keep]))
+            # -A_j*(v)[p,q] from the upper triplets; (p, q) is the block's
+            # row p (2s - p - 1)/2 + q in triu_indices order
+            ap, aq = np.divmod(a.cols, s)
+            up = ap <= aq
+            ap, aq = ap[up], aq[up]
+            block_b = np.zeros((len(p), self.nrows))
+            block_b[ap * (2 * s - ap - 1) // 2 + aq, a.rows[up]] = -a.vals[up]
+            b_rows.append(block_b)
+            rhs.append(0.0 - c[p, q])   # 0.0 - x: a zero stays +0.0
+            first += len(p)
+        return SdpProblem(
+            block_sizes=self.block_sizes, a_blocks=a_blocks, b_free=np.concatenate(b_rows),
+            rhs=np.concatenate(rhs), c_free=0.0 - self.rhs)
+
     def validate(self):
         """Raise ValueError on inconsistent dimensions or asymmetric coefficients."""
         if self.nrows < 1:
@@ -222,17 +254,20 @@ class SdpProblem:
         header = {}
         sizes = []
         body_start = None
-        for idx, ln in enumerate(lines[1:], start=1):
-            tok = ln.split()
-            if tok[0] == "name":
-                name = ln.partition(" ")[2].strip()
-            elif tok[0] in ("blocks", "free", "rows"):
-                header[tok[0]] = int(tok[1])
-            elif tok[0] == "sizes":
-                sizes = [int(t) for t in tok[1:]]
-            else:
-                body_start = idx
-                break
+        try:
+            for idx, ln in enumerate(lines[1:], start=1):
+                tok = ln.split()
+                if tok[0] == "name":
+                    name = ln.partition(" ")[2].strip()
+                elif tok[0] in ("blocks", "free", "rows"):
+                    header[tok[0]] = int(tok[1])
+                elif tok[0] == "sizes":
+                    sizes = [int(t) for t in tok[1:]]
+                else:
+                    body_start = idx
+                    break
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"malformed header line: {ln!r}") from exc
         if body_start is None:
             body_start = len(lines)
         for key in ("blocks", "free", "rows"):
@@ -241,6 +276,8 @@ class SdpProblem:
         if len(sizes) != header["blocks"]:
             raise ParseError("sizes line disagrees with block count")
         nrows, nfree = header["rows"], header["free"]
+        if min([nrows, nfree, *sizes]) < 0:
+            raise ParseError("negative count in the header")
         a_records = [[] for _ in sizes]   # per block: (m, p, q, value)
         c_blocks = [np.zeros((s, s)) for s in sizes]
         b_free = np.zeros((nrows, nfree))
@@ -253,19 +290,23 @@ class SdpProblem:
                 if kind == "END":
                     break
                 if kind == "objf":
-                    c_free[int(tok[1])] = float(tok[2])
+                    c_free[_index(tok[1], nfree, ln)] = float(tok[2])
                 elif kind == "objb":
-                    j, p, q = int(tok[1]), int(tok[2]), int(tok[3])
+                    j = _index(tok[1], len(sizes), ln)
+                    p, q = _index(tok[2], sizes[j], ln), _index(tok[3], sizes[j], ln)
                     c_blocks[j][p, q] = c_blocks[j][q, p] = float(tok[4])
                 elif kind == "rhs":
-                    rhs[int(tok[1])] = float(tok[2])
+                    rhs[_index(tok[1], nrows, ln)] = float(tok[2])
                 elif kind == "A":
-                    m, j, p, q = (int(t) for t in tok[1:5])
-                    a_records[j].append((m, p, q, float(tok[5])))
+                    # m, p and q are range-checked per block below
+                    j = _index(tok[2], len(sizes), ln)
+                    a_records[j].append((int(tok[1]), int(tok[3]), int(tok[4]), float(tok[5])))
                 elif kind == "B":
-                    b_free[int(tok[1]), int(tok[2])] = float(tok[3])
+                    b_free[_index(tok[1], nrows, ln), _index(tok[2], nfree, ln)] = float(tok[3])
                 else:
                     raise ParseError(f"unknown record {kind!r}")
+        except ParseError:
+            raise
         except (IndexError, ValueError) as exc:
             raise ParseError(f"malformed record line: {ln!r}") from exc
         a_blocks = []
@@ -284,6 +325,14 @@ class SdpProblem:
         return SdpProblem(
             block_sizes=sizes, a_blocks=a_blocks, b_free=b_free, rhs=rhs,
             c_free=c_free, c_blocks=c_blocks, name=name)
+
+
+def _index(tok: str, bound: int, line: str) -> int:
+    """A record index in 0..bound-1; numpy would wrap a negative one."""
+    i = int(tok)
+    if not 0 <= i < bound:
+        raise ParseError(f"index {i} outside 0..{bound - 1} in record line: {line!r}")
+    return i
 
 
 def _nonzeros(arr):

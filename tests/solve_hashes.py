@@ -1,5 +1,5 @@
-"""One SHA-256 per solve over a fixed set of 554 SDP solves, to check that a
-change to the solver leaves every solve bit-identical.
+"""One SHA-256 per solve over a fixed set of 794 SDP solves, to check that a
+change to the solver or the builders leaves every solve bit-identical.
 
     PYTHONPATH=src python3 tests/solve_hashes.py --out before.txt
     PYTHONPATH=src python3 tests/solve_hashes.py --compare before.txt
@@ -13,7 +13,10 @@ every X and Z block, all at full precision.  The solves are:
   over the unit disk), SOS form, levels 1 and 2 (400 solves);
 * the acceptance corpus (``corpus.py``, spawn key 1) in moment form at
   levels min and min + 1 (60 solves), and in SOS form at levels min to
-  min + 2 (90 solves).
+  min + 2 (90 solves);
+* the equality ensemble (``random_instance(2, 2, rng, n_equalities=1)`` at
+  entropy 7, spawn keys 0-59: 60 random quadratics over the unit disk with one
+  linear equality) in SOS and moment form at levels 1 and 2 (240 solves).
 
 BLAS is pinned to one thread, since the reduction order of more threads
 changes the rounding.  ``polyopt`` is imported from ``PYTHONPATH``, so
@@ -36,16 +39,17 @@ import numpy as np  # noqa: E402
 
 from polyopt import PopInstance, ball_constraint, build_moment_relaxation, \
     build_sos_relaxation, solve  # noqa: E402
-from polyopt.ensemble import random_polynomial  # noqa: E402
+from polyopt.ensemble import random_instance, random_polynomial  # noqa: E402
 from polyopt.gallery import gallery_instance  # noqa: E402
 
 from corpus import corpus_instances  # noqa: E402
 
 ENSEMBLE_SEED = 101
+EQUALITY_SEED = 7
 
 
 def problems():
-    """Yield (name, SdpProblem) for the 554 solves, in a fixed order."""
+    """Yield (name, SdpProblem) for the 794 solves, in a fixed order."""
     motzkin = gallery_instance("motzkin-ball")
     for k in range(3, 7):
         yield f"motzkin-sos-{k}", build_sos_relaxation(motzkin, k)
@@ -61,6 +65,12 @@ def problems():
     for i, inst in corpus:
         for k in range(inst.min_level(), inst.min_level() + 3):
             yield f"corpus-{i}-sos-{k}", build_sos_relaxation(inst, k)
+    for i in range(60):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=EQUALITY_SEED, spawn_key=(i,)))
+        inst = random_instance(2, 2, rng, n_equalities=1)
+        for form, builder in (("sos", build_sos_relaxation), ("moment", build_moment_relaxation)):
+            for k in (1, 2):
+                yield f"equality-{i}-{form}-{k}", builder(inst, k)
 
 
 def solve_hash(sol) -> str:

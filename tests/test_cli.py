@@ -80,10 +80,14 @@ class TestSolveCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == pytest.approx(-1.0, abs=1e-6)
 
-    def test_level_below_minimum(self, tmp_path, capsys):
+    def test_level_below_minimum(self, tmp_path, quad_file, capsys):
         path = tmp_path / "m.json"
         write_instance(gallery_instance("motzkin-ball"), path)
         assert run_cli("solve", str(path), "--level", "1") == 2
+        # level 0 is below every minimum, not a request for the default
+        assert run_cli("solve", quad_file, "--level", "0") == 2
+        assert run_cli("certify", quad_file, "--level", "0") == 2
+        assert run_cli("hierarchy", quad_file, "--level", "0") == 2
 
 
 class TestHierarchyCommand:

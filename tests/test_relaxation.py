@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from polyopt import PopInstance, Polynomial, augment_archimedean, ball_constrain
     build_moment_relaxation, build_sos_relaxation, motzkin, relaxation_value, solve
 from polyopt.certify import extract_dual_moments
 from polyopt.errors import LevelError
+from polyopt.gallery import gallery_instance
+from polyopt.polynomials import basis
 
+from corpus import corpus_instances
 from oracles import grid_minimize
 
 
@@ -116,6 +121,41 @@ class TestMomentBuilder:
         y = extract_dual_moments(sol, prob.layout)
         assert y.values[(0,)] == pytest.approx(1.0)
         assert y.values[(1,)] == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("case", ["equality-quadratic", "quadratic-ball", "corpus-5"])
+    def test_rows_are_the_moment_conditions(self, case):
+        # the moment form is derived from the SOS form, so check it against
+        # the moment conditions written out from Polynomial products alone
+        if case.startswith("corpus"):
+            inst = dict(corpus_instances(spawn_key=1, count=6))[5]
+            assert len(inst.g) == 2
+        else:
+            inst = gallery_instance(case)
+        n, k = inst.nvars, 2
+        prob = build_moment_relaxation(inst, k)
+        monomials = basis(n, 2 * k).entries
+        assert prob.layout.free_monomials == monomials
+        y = dict(zip(monomials, np.random.default_rng(8).normal(size=len(monomials))))
+
+        def riesz(poly):
+            return sum(c * y[m] for m, c in poly.terms.items())
+
+        def mono(m):
+            return Polynomial.monomial(n, m)
+
+        blocks = []
+        for g in (Polynomial.constant(n, 1.0),) + inst.g:
+            bas = basis(n, k - math.ceil(g.degree / 2)).entries
+            blocks.append(np.array([[riesz(g * mono(a) * mono(b)) for b in bas] for a in bas]))
+        ideal = [riesz(h * mono(beta)) for h in inst.h for beta in basis(n, 2 * k - h.degree)]
+        u = np.array([y[m] for m in monomials])
+        residual = prob.b_free @ u - prob.rhs
+        for a, x in zip(prob.to_dense(), blocks):
+            residual += np.tensordot(a, x, axes=([1, 2], [0, 1]))
+        expected = np.zeros(prob.nrows)
+        expected[0] = y[(0,) * n] - 1.0
+        expected[1:1 + len(ideal)] = ideal
+        assert np.abs(residual - expected).max() <= 1e-12
 
 
 class TestDuality:

@@ -8,6 +8,7 @@ from polyopt import PopInstance, Polynomial, ball_constraint, build_moment_relax
 from polyopt.errors import ParseError
 from polyopt.gallery import gallery_instance
 from polyopt.sdp import CoeffBlock, SdpProblem
+from polyopt.solver import solve
 
 from corpus import corpus_instances
 
@@ -100,6 +101,12 @@ class TestTextFormat:
     def test_bad_header(self):
         with pytest.raises(ParseError):
             SdpProblem.from_text("not an sdp\n")
+        # negative or non-integer counts used to raise a bare ValueError
+        text = tiny_problem().to_text()
+        for line, bad in [("rows 2", "rows -1"), ("free 1", "free -1"),
+                          ("sizes 2", "sizes -2"), ("rows 2", "rows two")]:
+            with pytest.raises(ParseError):
+                SdpProblem.from_text(text.replace(line, bad))
 
     def test_bad_record(self):
         text = tiny_problem().to_text().replace("END", "bogus 1 2\nEND")
@@ -107,22 +114,56 @@ class TestTextFormat:
             SdpProblem.from_text(text)
 
     def test_out_of_range_record(self):
-        text = tiny_problem().to_text().replace("END", "A 0 0 0 2 1.0\nEND")
-        with pytest.raises(ParseError):
-            SdpProblem.from_text(text)
+        for record in [
+            "A 0 0 0 2 1.0",
+            # negative indices would wrap to the last entry
+            "objf -1 5.0", "objb -1 0 0 5.0", "objb 0 -1 -1 5.0", "rhs -1 5.0",
+            "B -1 0 5.0", "B 0 -1 5.0", "A 0 -1 0 0 9.0", "A -1 0 0 0 9.0", "A 0 0 0 -1 9.0",
+            # and past the end
+            "objf 1 5.0", "objb 1 0 0 5.0", "objb 0 0 2 5.0", "rhs 2 5.0", "B 2 0 5.0",
+            "B 0 1 5.0", "A 0 1 0 0 9.0", "A 2 0 0 0 9.0",
+        ]:
+            text = tiny_problem().to_text().replace("END", record + "\nEND")
+            with pytest.raises(ParseError, match="outside"):
+                SdpProblem.from_text(text)
 
     @pytest.mark.parametrize("case, digest", [
         ("motzkin-sos-4", "d213b919b6f77ae30e652a42e83b2bab6434805a8cb9d2380d1713b4ae0a4105"),
         ("corpus-5-moment-3", "29c5e6573b0c5c5fb08ae7c4e2dc7b29b14e10323a58d32234cb9dd3a062916a"),
+        ("equality-quadratic-moment-2",
+         "f8d7895303a4d964f379ba0dda2b42226f09a5f9b15c41095d3caad7f310f228"),
     ])
     def test_text_is_pinned(self, case, digest):
-        # digests of the text written when A was stored as dense cubes: the
-        # sparse storage writes the same records in the same order
+        # the first two are digests of the text written when A was stored as
+        # dense cubes: the sparse storage writes the same records in the same order
         if case == "motzkin-sos-4":
             prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 4)
+        elif case == "equality-quadratic-moment-2":
+            # the ideal rows come right after y_0 = 1, ahead of the Gram-entry rows
+            prob = build_moment_relaxation(gallery_instance("equality-quadratic"), 2)
         else:
             prob = build_moment_relaxation(dict(corpus_instances(spawn_key=1, count=6))[5], 3)
         assert hashlib.sha256(prob.to_text().encode()).hexdigest() == digest
+
+
+class TestDual:
+    def test_dual_has_the_negated_optimum(self):
+        # max 0.5 u + <C, X> + <D, Y>  s.t.  X00 + X11 + Y + u = 2,  X01 - u = 0:
+        # a nonzero C_j, a free column and two blocks
+        a = np.zeros((2, 2, 2))
+        a[0, 0, 0] = a[0, 1, 1] = 1.0
+        a[1, 0, 1] = a[1, 1, 0] = 0.5
+        prob = SdpProblem(
+            block_sizes=[2, 1], a_blocks=[a, np.array([[[1.0]], [[0.0]]])],
+            b_free=np.array([[1.0], [-1.0]]), rhs=np.array([2.0, 0.0]),
+            c_free=np.array([0.5]),
+            c_blocks=[np.array([[1.0, 0.3], [0.3, -0.5]]), np.array([[-0.2]])])
+        dual = prob.dual().validate()
+        assert (dual.nrows, dual.nfree, dual.block_sizes) == (5, 2, [2, 1])
+        primal_sol, dual_sol = solve(prob), solve(dual)
+        assert primal_sol.status == dual_sol.status == "optimal"
+        scale = abs(primal_sol.primal_objective)
+        assert abs(primal_sol.primal_objective + dual_sol.primal_objective) <= 1e-7 * scale
 
 
 class TestCoeffBlock:
