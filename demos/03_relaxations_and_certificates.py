@@ -13,6 +13,7 @@ from polyopt import build_moment_relaxation, build_sos_relaxation, \
     extract_certificate, extract_dual_moments, extract_minimizer_rank1, \
     relaxation_value, solve, verify_certificate
 from polyopt.gallery import gallery_instance
+from polyopt.polynomials import basis
 
 inst = gallery_instance("quadratic-ball")
 print("instance:", inst.metadata["description"])
@@ -49,8 +50,11 @@ print("independent re-verification:", "PASS" if ok else "FAIL",
 
 # Dual pseudo-moments: for this instance they are the moments of the point
 # mass at the minimizer, so rank-1 extraction reads the minimizer off them.
+# y is one array indexed by the graded-lex basis of degree <= 2k, lower
+# degrees first, so the moments of degree <= 1 are its first n + 1 entries.
 y = extract_dual_moments(sol, prob.layout)
+first = basis(inst.nvars, 1)
 print("\npseudo-moments of degree <= 1:",
-      {m: round(v, 6) for m, v in y.values.items() if sum(m) <= 1})
+      {m: round(float(v), 6) for m, v in zip(first, y.values[:len(first)])})
 u = extract_minimizer_rank1(y, inst, value)
 print("extracted minimizer:", np.round(u, 8), " (exact: [1/7, 3/7])")

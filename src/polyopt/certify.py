@@ -9,6 +9,13 @@ side is nonnegative on the feasible set, a verified identity proves that
 gamma is a global lower bound.  Certificates store the Gram matrix of each
 sigma_j together with explicit square decompositions, so an independent
 program can re-verify them with polynomial arithmetic alone.
+
+Pseudo-moments y of a level-k relaxation are one array indexed by
+``basis(n, 2k)``.  That graded-lex order is the order of both the SOS rows
+(``row_monomials``) and the moment form's free columns (``free_monomials``),
+so the solver's array is used as it is.  Lower degrees come first, so the
+moments of degree <= 2t are a prefix of y, and the moment matrix M_t(y) is
+the leading ``basis_size(n, t)`` block of M_k(y).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDualError, ParseError
-from .polynomials import Polynomial, basis, monomial_mul
+from .polynomials import Polynomial, basis, basis_size, monomial_mul
 from .pop import PopInstance, instance_from_dict, instance_to_dict, _poly_from_records, _poly_to_records
 
 # Singular values below RANK_REL_TOL times the largest one count as zero when
@@ -38,75 +45,66 @@ MINIMIZER_FEAS_TOL = 1e-6   # constraint violation allowed at an extracted point
 
 @dataclass
 class MomentVector:
-    """Map from monomials of degree <= 2*level to pseudo-moment values, y_0 = 1."""
+    """Pseudo-moments of degree <= 2*level, y_0 = 1 once normalized.
+
+    ``values`` is an array indexed by ``basis(nvars, 2*level)``.  Graded-lex
+    order puts lower degrees first, so the moments of degree <= 2t are its
+    first ``basis_size(nvars, 2t)`` entries, and M_t(y) is the leading
+    ``basis_size(nvars, t)`` block of M_level(y).
+    """
 
     nvars: int
     level: int
-    values: dict
+    values: np.ndarray
 
     def moment_matrix(self, order: int) -> np.ndarray:
         """M_order(y): entry (p, q) is y at the product of basis monomials p, q."""
         if order > self.level:
             raise ValueError(f"order {order} exceeds moment degree window (level {self.level})")
         bas = basis(self.nvars, order)
-        size = len(bas)
-        mat = np.zeros((size, size))
-        for p in range(size):
-            for q in range(p, size):
-                val = self.values.get(monomial_mul(bas[p], bas[q]), 0.0)
-                mat[p, q] = mat[q, p] = val
-        return mat
+        position = basis(self.nvars, 2 * order).index
+        return self.values[[[position[monomial_mul(p, q)] for q in bas] for p in bas]]
 
     def truncate(self, order: int) -> "MomentVector":
-        vals = {m: v for m, v in self.values.items() if sum(m) <= 2 * order}
-        return MomentVector(nvars=self.nvars, level=order, values=vals)
+        return MomentVector(nvars=self.nvars, level=order,
+                            values=self.values[:basis_size(self.nvars, 2 * order)])
 
     @staticmethod
     def from_point_mass(point, level: int) -> "MomentVector":
         """Moments of the Dirac measure at a point."""
         point = np.asarray(point, dtype=float)
-        n = len(point)
-        vals = {}
-        for mono in basis(n, 2 * level):
-            term = 1.0
-            for xi, e in zip(point, mono):
-                term *= float(xi) ** e
-            vals[mono] = term
-        return MomentVector(nvars=n, level=level, values=vals)
+        exponents = np.array(basis(len(point), 2 * level).entries)
+        return MomentVector(nvars=len(point), level=level,
+                            values=np.prod(point ** exponents, axis=1))
 
     @staticmethod
     def mixture(components, weights, level: int) -> "MomentVector":
         """Moments of a finite atomic measure sum_i w_i * delta(points_i)."""
         parts = [MomentVector.from_point_mass(p, level) for p in components]
-        n = parts[0].nvars
-        vals = {}
-        for mono in basis(n, 2 * level):
-            vals[mono] = sum(w * part.values[mono] for w, part in zip(weights, parts))
-        return MomentVector(nvars=n, level=level, values=vals)
+        values = sum(w * part.values for w, part in zip(weights, parts))
+        return MomentVector(nvars=parts[0].nvars, level=level, values=values)
 
 
 def extract_dual_moments(sol, layout) -> MomentVector:
     """Pseudo-moments of a solved relaxation, normalized so that y_0 is exactly 1.
 
     ``layout`` is the builder metadata of the solved problem.  In the SOS form
-    the moments are the equality-row multipliers, indexed by
-    ``layout.row_monomials``; in the moment form they are the free values,
-    indexed by ``layout.free_monomials``.  Raises ``DegenerateDualError`` when
-    y_0 vanishes.
+    the moments are the equality-row multipliers, in the moment form the free
+    values.  Both arrays are indexed by ``basis(n, 2k)`` (``row_monomials``
+    and ``free_monomials``), so they are only divided by y_0.  Raises
+    ``DegenerateDualError`` when y_0 vanishes.
     """
     if layout.kind == "sos":
-        monomials, raw = layout.row_monomials, sol.dual_vector
+        raw = sol.dual_vector
     elif layout.kind == "moment":
-        monomials, raw = layout.free_monomials, sol.free_values
+        raw = sol.free_values
     else:
         raise ValueError(f"unknown layout kind {layout.kind!r}")
-    values = {tuple(m): float(val) for m, val in zip(monomials, raw)}
-    y0 = values.get((0,) * layout.nvars)
-    if y0 is None or abs(y0) < 1e-10:
+    y0 = float(raw[0])
+    if abs(y0) < 1e-10:
         raise DegenerateDualError(
             f"{layout.kind} solution has y0 = {y0!r}; cannot normalize into moments")
-    return MomentVector(nvars=layout.nvars, level=layout.level,
-                        values={m: val / y0 for m, val in values.items()})
+    return MomentVector(nvars=layout.nvars, level=layout.level, values=raw / y0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +168,17 @@ def flat_truncation(y: MomentVector, inst: PopInstance) -> FlatTruncationReport:
     room for the comparison the report says so.
     """
     k = y.level
-    d = _constraint_half_degree(inst)
-    d0 = d  # both the window and the smallest reported order
-    mats = {t: y.moment_matrix(t) for t in range(0, k + 1)}
-    svals = {t: np.linalg.svd(mats[t], compute_uv=False) for t in mats}
+    d = _constraint_half_degree(inst)   # both the window and the smallest reported order
+    full = y.moment_matrix(k)
+    svals = {}
+    for t in range(k + 1):
+        size = basis_size(y.nvars, t)   # M_t(y) is the leading block of M_k(y)
+        svals[t] = np.linalg.svd(full[:size, :size], compute_uv=False)
     sigma_max = float(svals[k][0]) if len(svals[k]) else 0.0
     threshold = RANK_REL_TOL * max(sigma_max, 1e-300)
-    ranks_all = {t: int(np.sum(svals[t] > threshold)) for t in mats}
+    ranks_all = {t: int(np.sum(svals[t] > threshold)) for t in svals}
 
-    admissible = [t for t in range(d0, k + 1) if t - d >= 1]
+    admissible = range(d + 1, k + 1)   # the orders with t - d >= 1
     flat_at = None
     for t in admissible:
         if ranks_all[t - d] == ranks_all[t]:
@@ -188,9 +188,9 @@ def flat_truncation(y: MomentVector, inst: PopInstance) -> FlatTruncationReport:
     if not admissible:
         note = f"level too low to test (k = {k}, window d = {d})"
     return FlatTruncationReport(
-        window=d, min_order=d0, max_order=k,
-        ranks={t: ranks_all[t] for t in range(d0, k + 1)},
-        singular_values={t: svals[t] for t in range(d0, k + 1)},
+        window=d, min_order=d, max_order=k,
+        ranks={t: ranks_all[t] for t in range(d, k + 1)},
+        singular_values={t: svals[t] for t in range(d, k + 1)},
         threshold=threshold, flat_at=flat_at, note=note)
 
 
@@ -199,9 +199,11 @@ def extract_minimizer_rank1(y: MomentVector, inst: PopInstance | None = None,
                             details: dict | None = None):
     """Candidate minimizer u_i = y_{e_i} / y_0 from a numerically rank-1 moment matrix.
 
-    Returns None (with a reason in ``details`` when supplied) if the rank-1
-    precondition fails, if the moments are not consistent with a point mass,
-    or if the optional feasibility / objective-value checks fail.
+    The y_{e_i} are ``y.values[1:nvars + 1]``, the degree-1 block of the
+    graded-lex order.  Returns None (with a reason in ``details`` when
+    supplied) if the rank-1 precondition fails, if the moments are not
+    consistent with a point mass, or if the optional feasibility /
+    objective-value checks fail.
     """
     def reject(reason):
         if details is not None:
@@ -215,19 +217,17 @@ def extract_minimizer_rank1(y: MomentVector, inst: PopInstance | None = None,
         return reject(f"moment matrix has numerical rank {rank}, expected 1")
 
     n = y.nvars
-    y0 = y.values.get((0,) * n, 0.0)
+    y0 = float(y.values[0])
     if abs(y0) < 1e-10:
         return reject("y0 vanishes")
-    point = np.array([y.values.get(tuple(1 if i == j else 0 for j in range(n)), 0.0) / y0
-                      for i in range(n)])
-
-    for mono, val in y.values.items():
-        expected = 1.0
-        for xi, e in zip(point, mono):
-            expected *= float(xi) ** e
-        if abs(val / y0 - expected) > POINT_MASS_TOL * (1.0 + abs(expected)):
-            return reject(f"moment of {mono} inconsistent with point mass "
-                          f"({val / y0:.6g} vs {expected:.6g})")
+    scaled = y.values / y0
+    point = scaled[1:n + 1]
+    expected = MomentVector.from_point_mass(point, y.level).values
+    bad = np.abs(scaled - expected) > POINT_MASS_TOL * (1.0 + np.abs(expected))
+    if bad.any():
+        i = int(np.argmax(bad))   # the first inconsistent moment in basis order
+        return reject(f"moment of {basis(n, 2 * y.level)[i]} inconsistent with point mass "
+                      f"({scaled[i]:.6g} vs {expected[i]:.6g})")
 
     if inst is not None:
         if not inst.is_feasible(point, MINIMIZER_FEAS_TOL):
@@ -277,35 +277,21 @@ class Certificate:
     notes: list = field(default_factory=list)
 
 
-def gram_clip_psd(matrix: np.ndarray):
-    """Project a symmetric matrix onto the PSD cone by clipping eigenvalues.
+def gram_clip_psd(matrix: np.ndarray, bas, nvars: int):
+    """Project a symmetric Gram matrix onto the PSD cone by clipping
+    eigenvalues, and decompose it into squares from the same eigenvectors.
 
-    Returns (clipped matrix, eigenvalues, negative mass removed).
+    Returns (clipped matrix, squares p_l with sigma = sum_l p_l^2 in the
+    monomial basis ``bas``, negative mass removed).
     """
     sym = (matrix + matrix.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(sym)
     neg_mass = float(-eigvals[eigvals < 0].sum())
     clipped = eigvecs @ np.diag(np.clip(eigvals, 0.0, None)) @ eigvecs.T
-    return (clipped + clipped.T) / 2.0, eigvals, neg_mass
-
-
-def sos_squares(gram: np.ndarray, bas, nvars: int) -> list:
-    """Square decomposition sigma = sum_l p_l^2 from a PSD Gram matrix."""
-    eigvals, eigvecs = np.linalg.eigh((gram + gram.T) / 2.0)
-    lam_max = max(float(eigvals[-1]), 0.0)
-    squares = []
-    for l in range(len(eigvals)):
-        lam = eigvals[l]
-        if lam <= 1e-14 * max(lam_max, 1.0):
-            continue
-        root = math.sqrt(lam)
-        terms = {}
-        for p, mono in enumerate(bas):
-            coeff = root * eigvecs[p, l]
-            if coeff != 0.0:
-                terms[tuple(mono)] = terms.get(tuple(mono), 0.0) + coeff
-        squares.append(Polynomial(nvars, terms))
-    return squares
+    cutoff = 1e-14 * max(float(eigvals[-1]), 1.0)
+    squares = [Polynomial(nvars, dict(zip(bas, math.sqrt(lam) * vec)))
+               for lam, vec in zip(eigvals, eigvecs.T) if lam > cutoff]
+    return (clipped + clipped.T) / 2.0, squares, neg_mass
 
 
 def extract_certificate(prob, sol, inst: PopInstance,
@@ -314,8 +300,9 @@ def extract_certificate(prob, sol, inst: PopInstance,
 
     Gram blocks are repaired to exact PSD by eigenvalue clipping; whatever
     that (and solver inaccuracy) costs shows up in ``identity_residual``,
-    which is reported, never rounded away.  A residual above tolerance marks
-    the certificate UNVERIFIED but it is still returned.
+    which is reported, never rounded away.  ``verified`` and
+    ``identity_residual`` are what ``verify_certificate`` finds; a failed
+    check marks the certificate UNVERIFIED but it is still returned.
     """
     layout = prob.layout
     if layout is None or not hasattr(layout, "gamma_index"):
@@ -323,36 +310,28 @@ def extract_certificate(prob, sol, inst: PopInstance,
     n = inst.nvars
     gamma = float(sol.free_values[layout.gamma_index])
 
-    phi = []
-    for start, bas in layout.phi_slices:
-        terms = {}
-        for offset, mono in enumerate(bas):
-            coeff = float(sol.free_values[start + offset])
-            if coeff != 0.0:
-                terms[tuple(mono)] = coeff
-        phi.append(Polynomial(n, terms))
+    phi = [Polynomial(n, dict(zip(bas, sol.free_values[start:start + len(bas)])))
+           for start, bas in layout.phi_slices]
 
     grams = []
     squares_all = []
     notes = []
     for j, bas in enumerate(layout.block_bases):
-        clipped, eigvals, neg_mass = gram_clip_psd(sol.x_blocks[j])
+        clipped, squares, neg_mass = gram_clip_psd(sol.x_blocks[j], bas, n)
         if neg_mass > 0:
             notes.append(f"gram {j}: clipped negative eigenvalue mass {neg_mass:.3e}")
         grams.append(GramBlock(basis=tuple(bas), matrix=clipped))
-        squares_all.append(sos_squares(clipped, bas, n))
+        squares_all.append(squares)
 
     cert = Certificate(
         gamma=gamma, phi=phi, sigma_grams=grams,
         sos_decompositions=squares_all,
         identity_residual=0.0, verified=False,
         level=layout.level, tolerance=tol, nvars=n, notes=notes)
-    residual = certificate_defect(cert, inst).coeff_norm()
-    cert.identity_residual = residual
-    cert.verified = residual <= tol * (1.0 + inst.f.coeff_norm())
+    cert.verified, cert.identity_residual = verify_certificate(cert, inst, tol)
     if not cert.verified:
         cert.notes.append(
-            f"UNVERIFIED: identity residual {residual:.3e} exceeds tolerance")
+            f"UNVERIFIED: identity residual {cert.identity_residual:.3e} exceeds tolerance")
     return cert
 
 

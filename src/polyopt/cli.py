@@ -188,6 +188,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random_ensemble(args) -> int:
+    for flag, value, least in (("--nvars", args.nvars, 1), ("--degree", args.degree, 0),
+                               ("--count", args.count, 0), ("--seed", args.seed, 0),
+                               ("--equalities", args.equalities, 0),
+                               ("--level-budget", args.level_budget, 0)):
+        if value < least:
+            raise ParseError(f"{flag} must be at least {least}, got {value}")
+    if args.equalities > args.nvars:
+        # more random linear equalities than variables have no common solution
+        raise ParseError(f"--equalities {args.equalities} exceeds --nvars {args.nvars}")
     summary = run_ensemble(nvars=args.nvars, degree=args.degree, count=args.count,
                            seed=args.seed, n_equalities=args.equalities,
                            level_budget=args.level_budget, workers=args.workers,

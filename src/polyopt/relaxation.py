@@ -60,7 +60,6 @@ class SosLayout:
     gamma_index: int
     phi_slices: list          # per equality: (first free index, monomial basis)
     block_bases: list         # per block j = 0..m2: monomial basis of the Gram block
-    min_level: int
 
 
 @dataclass
@@ -72,10 +71,9 @@ class MomentLayout:
     nvars: int
     free_monomials: tuple
     block_bases: list
-    min_level: int
 
 
-def _check_level(inst: PopInstance, k: int) -> int:
+def _check_level(inst: PopInstance, k: int) -> None:
     min_k = inst.min_level()
     if k < min_k:
         raise LevelError(
@@ -86,7 +84,6 @@ def _check_level(inst: PopInstance, k: int) -> int:
     for j, p in enumerate(inst.g):
         if p.is_zero():
             raise ValueError(f"inequality constraint g[{j}] is the zero polynomial")
-    return min_k
 
 
 def _gram_bases(inst: PopInstance, k: int):
@@ -101,7 +98,7 @@ def _gram_bases(inst: PopInstance, k: int):
 
 
 def build_sos_relaxation(inst: PopInstance, k: int) -> SdpProblem:
-    min_k = _check_level(inst, k)
+    _check_level(inst, k)
     n = inst.nvars
     rows = basis(n, 2 * k)
     nrows = len(rows)
@@ -156,8 +153,7 @@ def build_sos_relaxation(inst: PopInstance, k: int) -> SdpProblem:
         row_monomials=tuple(rows.entries),
         gamma_index=0,
         phi_slices=phi_slices,
-        block_bases=[tuple(b.entries) for b in bases],
-        min_level=min_k)
+        block_bases=[tuple(b.entries) for b in bases])
     return SdpProblem(
         block_sizes=[len(b) for b in bases],
         a_blocks=a_blocks, b_free=b_free, rhs=rhs, c_free=c_free,
@@ -179,8 +175,7 @@ def build_moment_relaxation(inst: PopInstance, k: int) -> SdpProblem:
     prob.layout = MomentLayout(
         kind="moment", level=k, nvars=sos.layout.nvars,
         free_monomials=sos.layout.row_monomials,
-        block_bases=sos.layout.block_bases,
-        min_level=sos.layout.min_level)
+        block_bases=sos.layout.block_bases)
     return prob
 
 

@@ -47,6 +47,9 @@ diagonal; the refinement against the operator absorbs the shift.
 Dependent free columns, as from a repeated equality constraint, would make
 S exactly singular, so ``_start`` keeps a column-independent subset of B,
 picked once by pivoted QR, and the dropped free values are reported as 0.
+When a direction in B's null space moves the objective c.u, the problem is
+unbounded as soon as it is feasible, so a run whose best iterate meets
+``tol_feas`` on the primal side ends ``unbounded``.
 
 The per-iteration, per-block kernels call LAPACK directly: ``dtrtrs`` for
 the triangular solves of ``_max_step`` and Z^{-1}, ``dpotrf``/``dpotrs``
@@ -157,6 +160,7 @@ class _Data:
     c_free: np.ndarray
     c_blocks: list
     free_cols: np.ndarray | None  # the columns of the problem's B kept in bmat; None: all
+    null_moves_c: bool    # a dropped column's null direction moves c.u: unbounded if feasible
     rho_p: float          # initial X scale, the yardstick of the primal-ray test
     b_scale: float
     c_scale: float
@@ -285,26 +289,27 @@ def _operators(blk: CoeffBlock):
 
 
 def _independent_columns(bmat, c_free):
-    """Indices of a column-independent subset of B, picked by pivoted QR.
+    """(kept, moves_c): the indices of a column-independent subset of B,
+    picked by pivoted QR (None when B has full column rank), and whether a
+    direction in B's null space moves the objective c.u.
 
-    None keeps every column: B has full column rank, or dropping columns
-    would change the problem.  That is so unless c's dropped entries are the
-    same combination of its kept entries as B's dropped columns are of its
-    kept columns; otherwise a direction in B's null space moves the
-    objective."""
+    It does not when c's dropped entries are the same combination of its
+    kept entries as B's dropped columns are of its kept columns.  Otherwise
+    the problem is unbounded once it has a feasible point, and the kept
+    columns alone describe a bounded one."""
     if bmat.shape[1] == 0:
-        return None
+        return None, False
     r, piv = qr(bmat, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.count_nonzero(diag > max(bmat.shape) * np.finfo(float).eps * diag[0]))
     if rank == bmat.shape[1]:
-        return None
+        return None, False
     # B[:, piv] = Q R, so the dropped columns are B_kept W with W = R11^{-1} R12
     w = solve_triangular(r[:rank, :rank], r[:rank, rank:])
     c_piv = c_free[piv]
-    if np.linalg.norm(c_piv[rank:] - w.T @ c_piv[:rank]) > 1e-12 * (1.0 + np.linalg.norm(c_free)):
-        return None
-    return np.sort(piv[:rank])
+    moves_c = np.linalg.norm(c_piv[rank:] - w.T @ c_piv[:rank]) > \
+        1e-12 * (1.0 + np.linalg.norm(c_free))
+    return np.sort(piv[:rank]), bool(moves_c)
 
 
 def _start(prob: SdpProblem, opts: SolverOptions):
@@ -316,7 +321,7 @@ def _start(prob: SdpProblem, opts: SolverOptions):
     sizes = prob.block_sizes
     a_ops, a_ts, a_stacks = zip(*(_operators(blk) for blk in prob.a_blocks))
     b, bmat, c_free = prob.rhs, prob.b_free, prob.c_free
-    free_cols = _independent_columns(bmat, c_free)
+    free_cols, null_moves_c = _independent_columns(bmat, c_free)
     if free_cols is not None:
         bmat, c_free = bmat[:, free_cols], c_free[free_cols]
     anorm = np.sqrt(sum(np.bincount(blk.rows, weights=blk.vals ** 2, minlength=prob.nrows)
@@ -329,7 +334,7 @@ def _start(prob: SdpProblem, opts: SolverOptions):
     b_scale = 1.0 + float(np.linalg.norm(b))
     c_scale = 1.0 + max(cnorm, float(np.linalg.norm(c_free)))
     data = _Data(sizes, prob.nrows, bmat.shape[1], sum(sizes), a_ops, a_ts, a_stacks, b, bmat,
-                 c_free, prob.c_blocks, free_cols, rho_p, b_scale, c_scale,
+                 c_free, prob.c_blocks, free_cols, null_moves_c, rho_p, b_scale, c_scale,
                  1e-2 * opts.tol_feas * min(b_scale, c_scale))
     # the Cholesky factor of rho I is sqrt(rho) I, bit for bit
     eyes = [np.eye(s) for s in sizes]
@@ -611,7 +616,8 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     iterate seen, with status ``optimal`` when the tolerances were met,
     ``near_optimal`` when all three residuals are within ``NEAR_TOL``, and
     ``max_iter`` otherwise.  Clear certificate-of-infeasibility or
-    divergence patterns are reported as ``infeasible`` / ``unbounded``.
+    divergence patterns are reported as ``infeasible`` / ``unbounded``, and
+    so is a primal feasible best iterate when B's null space moves c.u.
     """
     opts = opts or SolverOptions()
     prob.validate()
@@ -672,6 +678,10 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         # report the best iterate seen, not whatever state a breakdown or the
         # polish phase left behind
         status, it = _final_status(best, converged, opts), best
+        if data.null_moves_c and best.err_p <= opts.tol_feas:
+            status = STATUS_UNBOUNDED
+            notes.append("feasible point found and a null direction of B moves the "
+                         "objective: objective unbounded above")
     else:
         # a ray was found, or max_iter < 1 and no iteration measured ``it``
         it.primal, it.dual = _objectives(data, it)

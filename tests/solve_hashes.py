@@ -1,12 +1,19 @@
 """One SHA-256 per solve over a fixed set of 794 SDP solves, to check that a
-change to the solver or the builders leaves every solve bit-identical.
+change to the solver, the builders or ``certify`` leaves every solve and its
+post-solve artifacts bit-identical.
 
     PYTHONPATH=src python3 tests/solve_hashes.py --out before.txt
     PYTHONPATH=src python3 tests/solve_hashes.py --compare before.txt
 
 The hash of a solve covers its status, iteration count, notes, every trace
 row, the residuals, both objectives, the free values, the dual vector and
-every X and Z block, all at full precision.  The solves are:
+every X and Z block, all at full precision.  Each SOS-form solve also gets a
+``<solve>-artifacts`` hash over what ``certify`` makes of it: the moment
+matrix M_k(y) of ``extract_dual_moments`` at the solved level k,
+``flat_truncation(...).to_dict()`` and ``certificate_to_dict`` of
+``extract_certificate`` without the ``squares`` of each block, whose last
+bits depend on the eigensolver's order of work.  A step that raises is
+hashed as its error message.  The solves are:
 
 * gallery ``motzkin-ball``, SOS form, levels 3-6 (4 solves);
 * the ``ensemble-small`` benchmark recipe at seed 101 (200 random quadratics
@@ -37,8 +44,13 @@ import hashlib  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import json  # noqa: E402
+
 from polyopt import PopInstance, ball_constraint, build_moment_relaxation, \
-    build_sos_relaxation, solve  # noqa: E402
+    build_sos_relaxation, extract_certificate, extract_dual_moments, flat_truncation, \
+    solve  # noqa: E402
+from polyopt.certify import certificate_to_dict  # noqa: E402
+from polyopt.errors import PolyOptError  # noqa: E402
 from polyopt.ensemble import random_instance, random_polynomial  # noqa: E402
 from polyopt.gallery import gallery_instance  # noqa: E402
 
@@ -49,28 +61,28 @@ EQUALITY_SEED = 7
 
 
 def problems():
-    """Yield (name, SdpProblem) for the 794 solves, in a fixed order."""
+    """Yield (name, PopInstance, SdpProblem) for the 794 solves, in a fixed order."""
     motzkin = gallery_instance("motzkin-ball")
     for k in range(3, 7):
-        yield f"motzkin-sos-{k}", build_sos_relaxation(motzkin, k)
+        yield f"motzkin-sos-{k}", motzkin, build_sos_relaxation(motzkin, k)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=ENSEMBLE_SEED))
     for i in range(200):
         inst = PopInstance(f=random_polynomial(2, 2, rng), g=(ball_constraint(2, 1.0),))
         for k in (1, 2):
-            yield f"ensemble-{i}-sos-{k}", build_sos_relaxation(inst, k)
+            yield f"ensemble-{i}-sos-{k}", inst, build_sos_relaxation(inst, k)
     corpus = list(corpus_instances(spawn_key=1))
     for i, inst in corpus:
         for k in range(inst.min_level(), inst.min_level() + 2):
-            yield f"corpus-{i}-moment-{k}", build_moment_relaxation(inst, k)
+            yield f"corpus-{i}-moment-{k}", inst, build_moment_relaxation(inst, k)
     for i, inst in corpus:
         for k in range(inst.min_level(), inst.min_level() + 3):
-            yield f"corpus-{i}-sos-{k}", build_sos_relaxation(inst, k)
+            yield f"corpus-{i}-sos-{k}", inst, build_sos_relaxation(inst, k)
     for i in range(60):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=EQUALITY_SEED, spawn_key=(i,)))
         inst = random_instance(2, 2, rng, n_equalities=1)
         for form, builder in (("sos", build_sos_relaxation), ("moment", build_moment_relaxation)):
             for k in (1, 2):
-                yield f"equality-{i}-{form}-{k}", builder(inst, k)
+                yield f"equality-{i}-{form}-{k}", inst, builder(inst, k)
 
 
 def solve_hash(sol) -> str:
@@ -85,6 +97,21 @@ def solve_hash(sol) -> str:
     return digest.hexdigest()
 
 
+def artifacts_hash(inst, prob, sol) -> str:
+    digest = hashlib.sha256()
+    try:
+        moments = extract_dual_moments(sol, prob.layout)
+        digest.update(np.ascontiguousarray(moments.moment_matrix(prob.layout.level)).tobytes())
+        flat = flat_truncation(moments, inst).to_dict()
+    except PolyOptError as exc:
+        flat = repr(exc)
+    cert = certificate_to_dict(extract_certificate(prob, sol, inst))
+    for block in cert["sigma"]:
+        del block["squares"]
+    digest.update(json.dumps([flat, cert], sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the hashes to this file")
@@ -92,17 +119,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     hashes = {}
     iterations = 0
-    for name, prob in problems():
+    for name, inst, prob in problems():
         sol = solve(prob)
         hashes[name] = solve_hash(sol)
         iterations += sol.iterations
+        if prob.layout.kind == "sos":
+            hashes[f"{name}-artifacts"] = artifacts_hash(inst, prob, sol)
     lines = [f"{name} {h}\n" for name, h in hashes.items()]
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(lines)
     elif not args.compare:
         sys.stdout.writelines(lines)
-    print(f"{len(hashes)} solves, {iterations} iterations", file=sys.stderr)
+    print(f"{len(hashes)} hashes, {iterations} iterations", file=sys.stderr)
     if not args.compare:
         return 0
     with open(args.compare) as fh:
@@ -111,7 +140,7 @@ def main(argv=None) -> int:
     differ += [name for name in want if name not in hashes]
     for name in differ:
         print(f"differs: {name}")
-    print(f"{len(differ)} of {len(hashes)} solves differ", file=sys.stderr)
+    print(f"{len(differ)} of {len(hashes)} hashes differ", file=sys.stderr)
     return 1 if differ else 0
 
 

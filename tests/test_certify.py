@@ -6,7 +6,8 @@ import pytest
 from polyopt import MomentVector,extract_certificate, extract_minimizer_rank1, \
     flat_truncation, read_certificate, solve, verify_certificate, write_certificate, \
     PopInstance, Polynomial, ball_constraint, build_sos_relaxation, motzkin
-from polyopt.certify import Certificate, GramBlock, gram_clip_psd, sos_squares
+from polyopt.certify import Certificate, GramBlock, gram_clip_psd
+from polyopt.polynomials import basis
 
 
 def solve_sos(inst, k):
@@ -110,7 +111,7 @@ class TestGramRepair:
         for _ in range(20):
             sym = rng.standard_normal((3, 3))
             sym = (sym + sym.T) / 2.0
-            clipped, eigvals, neg_mass = gram_clip_psd(sym)
+            clipped, _, neg_mass = gram_clip_psd(sym, bas, 2)
             assert np.linalg.eigvalsh(clipped).min() >= -1e-12
             before = GramBlock(bas, sym).to_polynomial(2)
             after = GramBlock(bas, clipped).to_polynomial(2)
@@ -121,11 +122,26 @@ class TestGramRepair:
     def test_squares_from_psd_gram(self):
         mat = np.array([[2.0, 1.0], [1.0, 2.0]])
         bas = ((0,), (1,))
-        squares = sos_squares(mat, bas, 1)
+        clipped, squares, neg_mass = gram_clip_psd(mat, bas, 1)
+        assert neg_mass == 0.0 and np.allclose(clipped, mat, rtol=0.0, atol=1e-15)
         rebuilt = Polynomial.zero(1)
         for s in squares:
             rebuilt = rebuilt + s * s
         assert (rebuilt - GramBlock(bas, mat).to_polynomial(1)).coeff_norm() <= 1e-12
+
+    def test_squares_keep_small_eigenvalues(self):
+        # eigenvalues -1e-9, 1e-6 and 2: the clipped matrix keeps the 1e-6
+        # direction, and so must its squares
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+        mat = q @ np.diag([-1e-9, 1e-6, 2.0]) @ q.T
+        bas = ((0,), (1,), (2,))
+        clipped, squares, neg_mass = gram_clip_psd(mat, bas, 1)
+        assert neg_mass == pytest.approx(1e-9, rel=1e-6)
+        assert len(squares) == 2
+        rebuilt = Polynomial.zero(1)
+        for s in squares:
+            rebuilt = rebuilt + s * s
+        assert (rebuilt - GramBlock(bas, clipped).to_polynomial(1)).coeff_norm() <= 1e-14
 
 
 class TestFlatTruncation:
@@ -186,6 +202,15 @@ class TestMinimizerExtraction:
         u = extract_minimizer_rank1(y, inst, sol.primal_objective)
         assert u is not None
         assert np.allclose(u, [1.0 / 7.0, 3.0 / 7.0], atol=1e-5)
+
+    def test_inconsistent_moment_named(self):
+        # numerically rank 1 (the perturbation is below 1e-6 of sigma_max =
+        # 651), but y_{x2^2} is off by more than the point-mass tolerance
+        y = MomentVector.from_point_mass([5.0, 0.0], 2)
+        y.values[basis(2, 4).index[(0, 2)]] += 1e-4
+        details = {}
+        assert extract_minimizer_rank1(y, details=details) is None
+        assert details["reason"].startswith("moment of (0, 2) inconsistent")
 
     def test_infeasible_point_rejected(self):
         inst = PopInstance(f=Polynomial(2, {(2, 0): 1.0}),

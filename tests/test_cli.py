@@ -182,6 +182,14 @@ class TestEnsembleCommand:
         assert doc["count"] == 2
         assert "fractions" in doc
 
+    @pytest.mark.parametrize("argv", [
+        ["--nvars", "0"], ["--degree", "-1"], ["--level-budget", "-3"], ["--count", "-1"],
+        ["--seed", "-1"], ["--equalities", "-1"], ["--equalities", "2", "--nvars", "1"]])
+    def test_bad_arguments(self, argv, capsys):
+        assert run_cli("random-ensemble", "--count", "1", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestConsoleScript:
     def test_entry_point_installed(self):

@@ -18,6 +18,7 @@ from polyopt import solver as solver_module
 from polyopt.certify import extract_certificate, extract_dual_moments, verify_certificate
 from polyopt.errors import DegenerateDualError
 from polyopt.gallery import gallery_instance
+from polyopt.polynomials import basis
 from polyopt.sdp import CoeffBlock, SdpProblem
 from polyopt.solver import SolverOptions, _apply_A, _apply_At, _factor_kkt, _Iterate, \
     _k_solve, _kkt_apply, _kkt_direct, _lower_solve, _max_step, _measure, _ray, _schur, \
@@ -449,11 +450,15 @@ class TestDependentFreeColumns:
         assert sol.primal_objective == pytest.approx(1.0, abs=1e-7)
         assert sol.free_values[0] == 0.0
         assert sol.free_values[1] == pytest.approx(0.5, abs=1e-7)
-        # with c = (1, 1) the objective grows along u = (2, -1): no column
-        # may be dropped, since that would bound an unbounded problem
+        # with c = (1, 1) the objective grows along u = (2, -1), a null
+        # direction of B: the kept column alone bounds the problem, so a
+        # primal feasible point ends the run unbounded
         prob.c_free = np.array([1.0, 1.0])
-        assert _start(prob, SolverOptions())[0].free_cols is None
-        assert solve(prob).status != "optimal"
+        data = _start(prob, SolverOptions())[0]
+        assert list(data.free_cols) == [1] and data.null_moves_c
+        sol = solve(prob)
+        assert sol.status == "unbounded", sol.notes
+        assert sol.iterations < 20
 
 
 class TestEndgame:
@@ -480,16 +485,17 @@ class TestDualMoments:
         prob = build_sos_relaxation(inst, 1)
         sol = solve(prob)
         y = extract_dual_moments(sol, prob.layout)
-        assert y.values[(0,)] == 1.0
-        assert y.values[(1,)] == pytest.approx(1.0, abs=1e-5)
-        assert y.values[(2,)] == pytest.approx(1.0, abs=1e-5)
+        index = basis(1, 2).index
+        assert y.values[index[(0,)]] == 1.0
+        assert y.values[index[(1,)]] == pytest.approx(1.0, abs=1e-5)
+        assert y.values[index[(2,)]] == pytest.approx(1.0, abs=1e-5)
 
     def test_y0_normalized_exactly(self):
         inst = PopInstance(f=Polynomial(1, {(2,): 1.0}))
         prob = build_sos_relaxation(inst, 1)
         sol = solve(prob)
         y = extract_dual_moments(sol, prob.layout)
-        assert y.values[(0,)] == 1.0
+        assert y.values[basis(1, 2).index[(0,)]] == 1.0
 
     def test_moment_matrix_psd(self):
         f = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -0.6})
@@ -510,8 +516,9 @@ class TestDualMoments:
         sol = solve(prob)
         assert sol.status == "optimal"
         y = extract_dual_moments(sol, prob.layout)
-        assert y.values[(0, 0)] == 1.0
-        first = [y.values[(1, 0)], y.values[(0, 1)]]
+        index = basis(2, 4).index
+        assert y.values[index[(0, 0)]] == 1.0
+        first = [y.values[index[(1, 0)]], y.values[index[(0, 1)]]]
         assert np.allclose(first, [1.0 / 7.0, 3.0 / 7.0], rtol=0.0, atol=5e-6)
 
     def test_moment_form_vanishing_y0_raises(self):
