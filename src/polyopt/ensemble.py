@@ -40,8 +40,13 @@ def random_instance(nvars: int, degree: int, rng,
 
     Equalities are redrawn until the affine subspace actually meets the ball,
     so every returned instance is feasible; conditioning on feasibility keeps
-    the coefficient law absolutely continuous.
+    the coefficient law absolutely continuous.  More equalities than
+    variables raise ValueError before anything is drawn: random linear
+    equalities in that number have no common solution.
     """
+    if n_equalities > nvars:
+        raise ValueError(f"{n_equalities} random linear equalities in {nvars} variables "
+                         "have no common solution")
     f = random_polynomial(nvars, degree, rng)
     unit = [tuple(1 if i == j else 0 for j in range(nvars)) for i in range(nvars)]
     h = []

@@ -9,15 +9,20 @@ together with its dual  min b.v  s.t.  Z_j = A_j*(v) - C_j PSD,  B^T v = c.
 X, Z, B and the Schur complement are dense; the coefficients A are not.
 ``_start`` turns each block's triplets into three operators built once per
 solve: A as an (nrows, s*s) matrix, its transpose, and the matrices
-A_0..A_{nrows-1} stacked into an (nrows*s, s) one.  A block is held as a
-dense ndarray when nrows*s*s is below ``_DENSE_BELOW`` (there scipy's
-per-call cost outweighs the zeros it skips) and as CSR otherwise.  The phases
-use only ``@``, ``.T`` and ``.reshape`` on them, so one ``_apply_A``, one
-``_apply_At`` and one ``_schur`` serve both kinds.  ``_schur`` forms
-M_mn = <A_m, (X A_n) Z^{-1}> as U_n = A_n X through the stacked operator,
-T_n = U_n^T Z^{-1} as one batched dense product, and M = A T^T: 2 nrows s^3
-dense flops per block instead of the 4 nrows s^3 + 2 nrows^2 s^2 of dense A
-(Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997, treat this sparsity).
+A_0..A_{nrows-1} stacked into an (nrows*s, s) one, cut into row chunks.  A
+block is held as a dense ndarray when nrows*s*s is below ``_DENSE_BELOW``
+(there scipy's per-call cost outweighs the zeros it skips) and as CSR
+otherwise.  The phases use only ``@``, ``.T`` and ``.reshape`` on them, so
+one ``_apply_A``, one ``_apply_At`` and one ``_schur`` serve both kinds.
+``_schur`` forms M_mn = <A_m, (X A_n) Z^{-1}> one chunk of rows n at a
+time, as U_n = A_n X through the chunk of the stacked operator,
+T_n = U_n^T Z^{-1} as one batched dense product, and M[:, chunk] += A T^T:
+2 nrows s^3 dense flops per block instead of the 4 nrows s^3 + 2 nrows^2 s^2
+of dense A (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997, treat this
+sparsity).  A chunk holds as many rows as keep its U and T within
+``_CHUNK_BYTES`` (1 MiB) each, so a formation needs M plus a few MB
+instead of whole-block arrays of nrows s^2 doubles, and the chunking
+changes no bit of M.
 
 The method is infeasible-start path following with the HKM search direction
 and a Mehrotra predictor-corrector step.  ``solve`` is a short loop over
@@ -115,6 +120,7 @@ _MAX_REFINE = 10      # cap on KKT refinement rounds per solve
 _MAX_BACKOFF = 30     # cap on step halvings that look for a PD trial iterate
 _DIVERGENCE = 1e5     # score growth past a near-optimal best iterate that ends a run
 _DENSE_BELOW = 8192   # nrows*s*s under which a block's A is held dense, not as CSR
+_CHUNK_BYTES = 1 << 20  # bytes of U, and of T, per chunk of rows that ``_schur`` forms
 _CHOL_SHIFT = 10.0 * np.finfo(float).eps  # times nrows: the retry's shift of K's unit diagonal
 
 
@@ -154,9 +160,11 @@ class _Data:
     ntotal: int           # sum of the block sizes
     a_ops: list           # per block: A as an (nrows, s*s) operator, dense or CSR
     a_ts: list            # its transpose, (s*s, nrows)
-    a_stacks: list        # A_0..A_{nrows-1} stacked, (nrows*s, s)
+    a_stacks: list        # per block: (lo, hi, A_lo..A_{hi-1} stacked) chunks, see ``_operators``
     b: np.ndarray
     bmat: np.ndarray
+    bbt: np.ndarray | None  # B B^T, fixed for the solve; None without free columns
+    bbt_mean: float       # mean diag(B B^T), the yardstick of K's rho
     c_free: np.ndarray
     c_blocks: list
     free_cols: np.ndarray | None  # the columns of the problem's B kept in bmat; None: all
@@ -269,23 +277,31 @@ def _pd_step(blocks, deltas, chols):
 
 
 def _operators(blk: CoeffBlock):
-    """(A, A^T, stacked A) of one block: (nrows, s*s), (s*s, nrows) and
-    (nrows*s, s), all views of one dense array when the block is small
-    enough that scipy's per-call cost would outweigh the zeros, else CSR."""
+    """(A, A^T, stack chunks) of one block.  A and A^T are (nrows, s*s) and
+    (s*s, nrows); the chunks are ``(lo, hi, rows)`` with ``rows`` the
+    ((hi - lo)*s, s) slice of A_0..A_{nrows-1} stacked that holds A_lo..A_{hi-1}:
+    as many matrices as keep U and T of a chunk within ``_CHUNK_BYTES`` in
+    ``_schur``, so a block under that budget is one chunk.  All are views of
+    one dense array when the block is small enough that scipy's per-call
+    cost would outweigh the zeros, else CSR."""
     nrows, s = blk.nrows, blk.size
     if nrows * s * s < _DENSE_BELOW:
         a = np.zeros((nrows, s * s))
         a[blk.rows, blk.cols] = blk.vals
-        return a, a.T, a.reshape(nrows * s, s)
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(blk.rows, minlength=nrows), out=indptr[1:])
-    a = csr_array((blk.vals, blk.cols, indptr), shape=(nrows, s * s))
-    # row (m, p) of the stack holds row p of A_m; the triplet order is kept
-    stack_rows = blk.rows * s + blk.cols // s
-    indptr = np.zeros(nrows * s + 1, dtype=np.int64)
-    np.cumsum(np.bincount(stack_rows, minlength=nrows * s), out=indptr[1:])
-    stack = csr_array((blk.vals, blk.cols % s, indptr), shape=(nrows * s, s))
-    return a, a.T.tocsr(), stack
+        a_t, stack = a.T, a.reshape(nrows * s, s)
+    else:
+        indptr = np.zeros(nrows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(blk.rows, minlength=nrows), out=indptr[1:])
+        a = csr_array((blk.vals, blk.cols, indptr), shape=(nrows, s * s))
+        a_t = a.T.tocsr()
+        # row (m, p) of the stack holds row p of A_m; the triplet order is kept
+        stack_rows = blk.rows * s + blk.cols // s
+        indptr = np.zeros(nrows * s + 1, dtype=np.int64)
+        np.cumsum(np.bincount(stack_rows, minlength=nrows * s), out=indptr[1:])
+        stack = csr_array((blk.vals, blk.cols % s, indptr), shape=(nrows * s, s))
+    step = max(1, _CHUNK_BYTES // (8 * s * s))
+    bounds = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
+    return a, a_t, [(lo, hi, stack[lo * s:hi * s]) for lo, hi in bounds]
 
 
 def _independent_columns(bmat, c_free):
@@ -333,9 +349,12 @@ def _start(prob: SdpProblem, opts: SolverOptions):
                 float(np.linalg.norm(c_free)))
     b_scale = 1.0 + float(np.linalg.norm(b))
     c_scale = 1.0 + max(cnorm, float(np.linalg.norm(c_free)))
+    bbt, bbt_mean = None, 0.0
+    if bmat.shape[1]:
+        bbt, bbt_mean = bmat @ bmat.T, max(float((bmat ** 2).sum()) / prob.nrows, 1e-300)
     data = _Data(sizes, prob.nrows, bmat.shape[1], sum(sizes), a_ops, a_ts, a_stacks, b, bmat,
-                 c_free, prob.c_blocks, free_cols, null_moves_c, rho_p, b_scale, c_scale,
-                 1e-2 * opts.tol_feas * min(b_scale, c_scale))
+                 bbt, bbt_mean, c_free, prob.c_blocks, free_cols, null_moves_c, rho_p, b_scale,
+                 c_scale, 1e-2 * opts.tol_feas * min(b_scale, c_scale))
     # the Cholesky factor of rho I is sqrt(rho) I, bit for bit
     eyes = [np.eye(s) for s in sizes]
     return data, _Iterate([rho_p * e for e in eyes], [rho_d * e for e in eyes],
@@ -397,21 +416,26 @@ def _ray(data: _Data, it: _Iterate, start_err_p: float):
 def _schur(data: _Data, x_blocks, z_inv):
     """The HKM Schur complement M_mn = sum_j <A_{j,m}, X_j A_{j,n} Z_j^{-1}>.
 
-    Per block, U_n = A_n X for every row at once through the stacked
-    operator (sparse work), then T_n = U_n^T Z^{-1} = (X A_n) Z^{-1} as one
-    batched dense product, and M += A T^T with A as held.  Per block that is
-    2 nrows s^3 dense flops plus O(nnz (s + nrows)) sparse ones.  The
-    product is associated as (X A_n) Z^{-1}, as it was with dense A; the
-    free-variable endgame is sensitive enough to rounding that
-    X (A_n Z^{-1}) leaves other corpus levels short of the tolerances.
+    Per block, the columns of M are formed a chunk of rows n = lo..hi-1 at
+    a time (``_Data.a_stacks``): U_n = A_n X through the chunk's slice of
+    the stacked operator (sparse work), then T_n = U_n^T Z^{-1} =
+    (X A_n) Z^{-1} as one batched dense product, and M[:, lo:hi] += A T^T
+    with A as held.  A chunk's U and T take at most ``_CHUNK_BYTES`` each,
+    so they and the C-order copy of T^T that the product with A makes stay
+    in cache, where whole-block arrays of nrows s^2 doubles each would not.
+    Every entry of M is the same sum in the same order as with one chunk,
+    so M does not depend on the chunk size.  Per block that is 2 nrows s^3
+    dense flops plus O(nnz (s + nrows)) sparse ones.  The product is
+    associated as (X A_n) Z^{-1}, as it was with dense A; the free-variable
+    endgame is sensitive enough to rounding that X (A_n Z^{-1}) leaves
+    other corpus levels short of the tolerances.
     """
-    nrows = data.nrows
-    schur = np.zeros((nrows, nrows))
-    for a, stack, s, xb, zi in zip(data.a_ops, data.a_stacks, data.sizes, x_blocks, z_inv):
-        u = (stack @ xb).reshape(nrows, s, s)
-        t = np.matmul(u.transpose(0, 2, 1), zi).reshape(nrows, -1)
-        del u   # one (nrows, s, s) temporary less at the peak
-        schur += a @ t.T
+    schur = np.zeros((data.nrows, data.nrows))
+    for a, chunks, s, xb, zi in zip(data.a_ops, data.a_stacks, data.sizes, x_blocks, z_inv):
+        for lo, hi, rows in chunks:
+            u = (rows @ xb).reshape(hi - lo, s, s)
+            t = np.matmul(u.transpose(0, 2, 1), zi).reshape(hi - lo, -1)
+            schur[:, lo:hi] += a @ t.T
     return _sym(schur)
 
 
@@ -428,7 +452,7 @@ def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
     to unit diagonal, and the free columns by LU of the small
     S = B^T K^{-1} B, so B^T dv = r_f holds without any regularization.
     rho is mean diag(M) / mean diag(B B^T), which keeps both terms of K of
-    one size.
+    one size; B B^T and its mean diagonal are formed once, in ``_start``.
 
     Rounding can still leave the scaled K a hair short of positive definite
     when it is singular to working precision (dependent rows, or late on
@@ -443,11 +467,10 @@ def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
         w = _lower_solve(lc, np.eye(s))
         z_inv.append(_sym(w.T @ w))
     kmat = _schur(data, it.x, z_inv)
-    bmat, rho = data.bmat, 0.0
+    rho = 0.0
     if data.nfree:
-        bbt = max(float((bmat ** 2).sum()) / data.nrows, 1e-300)
-        rho = max(float(np.diag(kmat).mean()), 1e-300) / bbt
-        kmat += rho * (bmat @ bmat.T)
+        rho = max(float(np.diag(kmat).mean()), 1e-300) / data.bbt_mean
+        kmat += rho * data.bbt
     scale = 1.0 / np.sqrt(np.clip(np.diag(kmat), 1e-300, None))
     kmat *= scale[:, None] * scale[None, :]
     chol, info = dpotrf(kmat, lower=1, clean=0)
@@ -458,7 +481,7 @@ def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
         return None
     kkt = _Kkt(z_inv, rho, scale, chol)
     if data.nfree:
-        smat = bmat.T @ _k_solve(kkt, bmat)
+        smat = data.bmat.T @ _k_solve(kkt, data.bmat)
         if not np.all(np.isfinite(smat)):
             return None
         lu, piv, info = dgetrf(smat)

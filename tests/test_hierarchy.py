@@ -6,7 +6,7 @@ from polyopt.errors import LevelError
 from polyopt.gallery import gallery_instance, gallery_names
 from polyopt.hierarchy import STOP_FLAT, STOP_LEVEL_CAP, STOP_STAGNATION
 from polyopt.solver import SolverOptions
-from polyopt.ensemble import run_ensemble
+from polyopt.ensemble import random_instance, run_ensemble
 
 from oracles import grid_minimize
 
@@ -158,6 +158,15 @@ class TestEnsemble:
         # dumped failures match the summary count
         dumped = list(tmp_path.glob("failure_*.json"))
         assert len(dumped) == len(summary.failures())
+
+    def test_too_many_equalities_raise_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="no common solution"):
+            random_instance(1, 2, rng, n_equalities=2)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match="no common solution"):
+            run_ensemble(nvars=1, degree=2, count=1, seed=0, n_equalities=2)
 
     def test_parallel_matches_serial(self):
         serial = run_ensemble(nvars=2, degree=2, count=4, seed=11)

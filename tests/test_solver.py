@@ -276,6 +276,37 @@ class TestKernels:
             want += a.reshape(prob.nrows, -1) @ t.reshape(prob.nrows, -1).T
         assert close(_schur(data, x_blocks, z_inv), (want + want.T) / 2.0)
 
+    def test_chunks_match_one_chunk(self, monkeypatch):
+        # Motzkin level 6: 455 rows and CSR blocks 84/56, formed 18 and 41
+        # rows at a time with a partial last chunk; M is the same to the bit
+        prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 6)
+        data, _ = _start(prob, SolverOptions())
+        for chunks in data.a_stacks:
+            widths = [hi - lo for lo, hi, _ in chunks]
+            assert len(widths) > 2 and widths[-1] < widths[0]
+        monkeypatch.setattr(solver_module, "_CHUNK_BYTES",
+                            8 * prob.nrows * max(prob.block_sizes) ** 2)
+        whole, _ = _start(prob, SolverOptions())
+        assert [len(chunks) for chunks in whole.a_stacks] == [1, 1]
+        it = random_iterate(prob, np.random.default_rng(37))
+        assert np.array_equal(_schur(data, it.x, it.z), _schur(whole, it.x, it.z))
+
+    def test_schur_memory_is_bounded_by_the_chunks(self):
+        # whole-block U, T and the copy of T^T would take 25.7 MB each at
+        # the 84 block; M itself is 1.6 MB
+        import tracemalloc
+
+        prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 6)
+        data, _ = _start(prob, SolverOptions())
+        it = random_iterate(prob, np.random.default_rng(41))
+        tracemalloc.start()
+        try:
+            _schur(data, it.x, it.z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
     @pytest.mark.parametrize("case", ["motzkin-sos-4", "corpus-5-moment-3"])
     def test_factored_solve_meets_free_rows(self, case):
         # the free columns are eliminated exactly: B^T dv = r_f holds to
