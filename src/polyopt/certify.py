@@ -6,9 +6,13 @@ A certificate realizes the identity
 
 with every sigma_j a sum of squares (g_0 = 1 by convention).  Since the right
 side is nonnegative on the feasible set, a verified identity proves that
-gamma is a global lower bound.  Certificates store the Gram matrix of each
-sigma_j together with explicit square decompositions, so an independent
-program can re-verify them with polynomial arithmetic alone.
+gamma is a global lower bound.  A certificate holds what its verifier reads:
+gamma, the phi_i, the Gram matrix of each sigma_j, the identity residual and
+the verdict, so an independent program can re-verify it with polynomial
+arithmetic alone.  The squares sigma_j = sum_l p_l^2 are one factorization
+of a Gram matrix, not further evidence, so ``gram.squares()`` renders them
+from the stored matrix when a certificate is written, and reading a file
+does not parse them back.
 
 Pseudo-moments y of a level-k relaxation are one array indexed by
 ``basis(n, 2k)``.  That graded-lex order is the order of both the SOS rows
@@ -195,51 +199,43 @@ def flat_truncation(y: MomentVector, inst: PopInstance) -> FlatTruncationReport:
 
 
 def extract_minimizer_rank1(y: MomentVector, inst: PopInstance | None = None,
-                            value: float | None = None,
-                            details: dict | None = None):
+                            value: float | None = None):
     """Candidate minimizer u_i = y_{e_i} / y_0 from a numerically rank-1 moment matrix.
 
     The y_{e_i} are ``y.values[1:nvars + 1]``, the degree-1 block of the
-    graded-lex order.  Returns None (with a reason in ``details`` when
-    supplied) if the rank-1 precondition fails, if the moments are not
-    consistent with a point mass, or if the optional feasibility /
-    objective-value checks fail.
+    graded-lex order.  Returns (point, None), or (None, reason) if the
+    rank-1 precondition fails, if the moments are not consistent with a
+    point mass, or if the optional feasibility / objective-value checks
+    fail.
     """
-    def reject(reason):
-        if details is not None:
-            details["reason"] = reason
-        return None
-
     mat = y.moment_matrix(y.level)
     svals = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(svals > RANK_REL_TOL * max(float(svals[0]), 1e-300)))
     if rank != 1:
-        return reject(f"moment matrix has numerical rank {rank}, expected 1")
+        return None, f"moment matrix has numerical rank {rank}, expected 1"
 
     n = y.nvars
     y0 = float(y.values[0])
     if abs(y0) < 1e-10:
-        return reject("y0 vanishes")
+        return None, "y0 vanishes"
     scaled = y.values / y0
     point = scaled[1:n + 1]
     expected = MomentVector.from_point_mass(point, y.level).values
     bad = np.abs(scaled - expected) > POINT_MASS_TOL * (1.0 + np.abs(expected))
     if bad.any():
         i = int(np.argmax(bad))   # the first inconsistent moment in basis order
-        return reject(f"moment of {basis(n, 2 * y.level)[i]} inconsistent with point mass "
+        return None, (f"moment of {basis(n, 2 * y.level)[i]} inconsistent with point mass "
                       f"({scaled[i]:.6g} vs {expected[i]:.6g})")
 
     if inst is not None:
         if not inst.is_feasible(point, MINIMIZER_FEAS_TOL):
             eq, ineq = inst.violations(point)
-            return reject(f"extracted point infeasible (|h|={eq:.2e}, -g={ineq:.2e})")
+            return None, f"extracted point infeasible (|h|={eq:.2e}, -g={ineq:.2e})"
         if value is not None:
             fu = inst.f.eval(point)
             if abs(fu - value) > POINT_MASS_TOL * (1.0 + abs(value)):
-                return reject(f"f(u) = {fu:.8g} does not match bound {value:.8g}")
-    if details is not None:
-        details["reason"] = None
-    return point
+                return None, f"f(u) = {fu:.8g} does not match bound {value:.8g}"
+    return point, None
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +258,22 @@ class GramBlock:
                 terms[key] = terms.get(key, 0.0) + self.matrix[p, q]
         return Polynomial(nvars, terms)
 
+    def squares(self) -> list:
+        """Polynomials p_l with sum_l p_l^2 = the Gram polynomial, from one
+        eigendecomposition of the stored matrix: p_l = sqrt(lambda_l) v_l in
+        the monomial basis, over the eigenvalues above 1e-14 * max(lambda_max, 1)."""
+        eigvals, eigvecs = np.linalg.eigh(self.matrix)
+        cutoff = 1e-14 * max(float(eigvals[-1]), 1.0)
+        nvars = len(self.basis[0])
+        return [Polynomial(nvars, dict(zip(self.basis, math.sqrt(lam) * vec)))
+                for lam, vec in zip(eigvals, eigvecs.T) if lam > cutoff]
+
 
 @dataclass
 class Certificate:
     gamma: float
     phi: list                  # one multiplier polynomial per equality
     sigma_grams: list          # GramBlock per j = 0..m2
-    sos_decompositions: list   # per j: list of square-root polynomials
     identity_residual: float
     verified: bool
     level: int
@@ -277,58 +282,48 @@ class Certificate:
     notes: list = field(default_factory=list)
 
 
-def gram_clip_psd(matrix: np.ndarray, bas, nvars: int):
+def gram_clip_psd(matrix: np.ndarray):
     """Project a symmetric Gram matrix onto the PSD cone by clipping
-    eigenvalues, and decompose it into squares from the same eigenvectors.
-
-    Returns (clipped matrix, squares p_l with sigma = sum_l p_l^2 in the
-    monomial basis ``bas``, negative mass removed).
-    """
+    eigenvalues.  Returns (clipped matrix, negative mass removed)."""
     sym = (matrix + matrix.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(sym)
     neg_mass = float(-eigvals[eigvals < 0].sum())
     clipped = eigvecs @ np.diag(np.clip(eigvals, 0.0, None)) @ eigvecs.T
-    cutoff = 1e-14 * max(float(eigvals[-1]), 1.0)
-    squares = [Polynomial(nvars, dict(zip(bas, math.sqrt(lam) * vec)))
-               for lam, vec in zip(eigvals, eigvecs.T) if lam > cutoff]
-    return (clipped + clipped.T) / 2.0, squares, neg_mass
+    return (clipped + clipped.T) / 2.0, neg_mass
 
 
-def extract_certificate(prob, sol, inst: PopInstance,
-                        tol: float = CERT_TOL) -> Certificate:
+def extract_certificate(prob, sol, inst: PopInstance) -> Certificate:
     """Turn a solved SOS relaxation into a checkable certificate.
 
     Gram blocks are repaired to exact PSD by eigenvalue clipping; whatever
     that (and solver inaccuracy) costs shows up in ``identity_residual``,
     which is reported, never rounded away.  ``verified`` and
-    ``identity_residual`` are what ``verify_certificate`` finds; a failed
-    check marks the certificate UNVERIFIED but it is still returned.
+    ``identity_residual`` are what ``verify_certificate`` finds at
+    ``CERT_TOL``; a failed check marks the certificate UNVERIFIED but it is
+    still returned.
     """
     layout = prob.layout
-    if layout is None or not hasattr(layout, "gamma_index"):
+    if getattr(layout, "kind", None) != "sos":
         raise ValueError("problem carries no SOS layout; build it with build_sos_relaxation")
     n = inst.nvars
-    gamma = float(sol.free_values[layout.gamma_index])
+    gamma = float(sol.free_values[0])   # free column 0 of the SOS form is gamma
 
     phi = [Polynomial(n, dict(zip(bas, sol.free_values[start:start + len(bas)])))
            for start, bas in layout.phi_slices]
 
     grams = []
-    squares_all = []
     notes = []
     for j, bas in enumerate(layout.block_bases):
-        clipped, squares, neg_mass = gram_clip_psd(sol.x_blocks[j], bas, n)
+        clipped, neg_mass = gram_clip_psd(sol.x_blocks[j])
         if neg_mass > 0:
             notes.append(f"gram {j}: clipped negative eigenvalue mass {neg_mass:.3e}")
         grams.append(GramBlock(basis=tuple(bas), matrix=clipped))
-        squares_all.append(squares)
 
     cert = Certificate(
         gamma=gamma, phi=phi, sigma_grams=grams,
-        sos_decompositions=squares_all,
         identity_residual=0.0, verified=False,
-        level=layout.level, tolerance=tol, nvars=n, notes=notes)
-    cert.verified, cert.identity_residual = verify_certificate(cert, inst, tol)
+        level=layout.level, tolerance=CERT_TOL, nvars=n, notes=notes)
+    cert.verified, cert.identity_residual = verify_certificate(cert, inst)
     if not cert.verified:
         cert.notes.append(
             f"UNVERIFIED: identity residual {cert.identity_residual:.3e} exceeds tolerance")
@@ -362,7 +357,7 @@ def verify_certificate(cert: Certificate, inst: PopInstance,
     psd_ok = True
     for gram in cert.sigma_grams:
         mat = np.asarray(gram.matrix)
-        if mat.shape[0] != mat.shape[1] or mat.shape[0] != len(gram.basis):
+        if mat.shape != (len(gram.basis), len(gram.basis)) or not np.isfinite(mat).all():
             return False, float("inf")
         eigvals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
         scale = max(abs(float(eigvals[-1])), 1.0)
@@ -378,6 +373,7 @@ def verify_certificate(cert: Certificate, inst: PopInstance,
 # ---------------------------------------------------------------------------
 
 def certificate_to_dict(cert: Certificate, inst: PopInstance | None = None) -> dict:
+    """The file form; the ``squares`` of each block are rendered here from its Gram matrix."""
     doc = {
         "format": "polyopt-certificate v1",
         "nvars": cert.nvars,
@@ -391,9 +387,9 @@ def certificate_to_dict(cert: Certificate, inst: PopInstance | None = None) -> d
             {
                 "basis": [list(m) for m in gram.basis],
                 "gram": [[float(x) for x in row] for row in gram.matrix],
-                "squares": [_poly_to_records(p) for p in squares],
+                "squares": [_poly_to_records(p) for p in gram.squares()],
             }
-            for gram, squares in zip(cert.sigma_grams, cert.sos_decompositions)
+            for gram in cert.sigma_grams
         ],
         "notes": list(cert.notes),
     }
@@ -403,23 +399,21 @@ def certificate_to_dict(cert: Certificate, inst: PopInstance | None = None) -> d
 
 
 def certificate_from_dict(doc: dict) -> tuple:
-    """Returns (certificate, embedded instance or None)."""
+    """Returns (certificate, embedded instance or None).  The ``squares`` of
+    each block are not read: the verifier reads the Gram matrix."""
     if doc.get("format") != "polyopt-certificate v1":
         raise ParseError("not a polyopt certificate (bad or missing format field)")
     try:
         n = int(doc["nvars"])
         grams = []
-        squares_all = []
         for entry in doc["sigma"]:
             bas = tuple(tuple(int(e) for e in m) for m in entry["basis"])
             mat = np.asarray(entry["gram"], dtype=float)
             grams.append(GramBlock(basis=bas, matrix=mat))
-            squares_all.append([_poly_from_records(r, n) for r in entry.get("squares", [])])
         cert = Certificate(
             gamma=float(doc["gamma"]),
             phi=[_poly_from_records(r, n) for r in doc.get("phi", [])],
             sigma_grams=grams,
-            sos_decompositions=squares_all,
             identity_residual=float(doc.get("identity_residual", 0.0)),
             verified=bool(doc.get("verified", False)),
             level=int(doc.get("level", 0)),

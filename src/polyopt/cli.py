@@ -33,6 +33,8 @@ EXIT_UNVERIFIED = 4
 
 
 def _solver_options(args) -> SolverOptions:
+    if args.max_iter < 1:
+        raise ParseError(f"--max-iter must be at least 1, got {args.max_iter}")
     return SolverOptions(tol_gap=args.tol_gap, tol_feas=args.tol_feas,
                          max_iter=args.max_iter)
 
@@ -70,6 +72,7 @@ def _default(obj):
 
 
 def cmd_solve(args) -> int:
+    opts = _solver_options(args)
     inst = _load_instance(args)
     level = args.level if args.level is not None else inst.min_level()
     builder = build_moment_relaxation if args.form == "moment" else build_sos_relaxation
@@ -78,7 +81,7 @@ def cmd_solve(args) -> int:
         from .sdp import write_problem
 
         write_problem(prob, args.export_sdp)
-    sol = solve(prob, _solver_options(args))
+    sol = solve(prob, opts)
     if args.solver_trace:
         write_trace_csv(sol, args.solver_trace)
     if not sol.ok:
@@ -98,9 +101,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
+    opts = _solver_options(args)
     inst = _load_instance(args)
     run = run_hierarchy(inst, k_min=args.level, k_max=args.max_level,
-                        solver_options=_solver_options(args),
+                        solver_options=opts,
                         certificate_dir=args.cert_dir,
                         stagnation_tol=args.tol_stagnation)
     if args.csv:
@@ -149,10 +153,11 @@ def cmd_check_local(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    opts = _solver_options(args)
     inst = _load_instance(args)
     level = args.level if args.level is not None else inst.min_level()
     prob = build_sos_relaxation(inst, level)
-    sol = solve(prob, _solver_options(args))
+    sol = solve(prob, opts)
     if not sol.ok:
         _emit(args, {"status": sol.status, "notes": sol.notes},
               f"solver failed: status {sol.status}")

@@ -170,11 +170,9 @@ def run_hierarchy(inst: PopInstance,
             rec.flat = flat_truncation(moments, inst)
             if rec.flat.is_flat:
                 t = rec.flat.flat_at
-                details: dict = {}
                 if rec.flat.rank_at(t) == 1:
-                    rec.minimizer = extract_minimizer_rank1(
-                        moments.truncate(t), inst, rec.value, details=details)
-                    rec.minimizer_note = details.get("reason")
+                    rec.minimizer, rec.minimizer_note = extract_minimizer_rank1(
+                        moments.truncate(t), inst, rec.value)
                 else:
                     rec.minimizer_note = (
                         f"flat with rank {rec.flat.rank_at(t)}; only rank-1 extraction "

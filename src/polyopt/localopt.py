@@ -249,15 +249,14 @@ def audit_point(inst: PopInstance, point, tol: float = ACTIVE_TOL) -> LocalRepor
     kkt = residual <= STATIONARITY_TOL * grad_scale and bool(
         np.all(mu >= -STATIONARITY_TOL * (1.0 + np.abs(mu).max(initial=0.0))))
 
+    sonc, sosc, eigs = check_second_order(inst, u, lam, mu, act)
     if cqc:
         scc, margin = check_scc(inst, u, mu)
-        sonc, sosc, eigs = check_second_order(inst, u, lam, mu, act)
     else:
         # Multipliers are not unique without CQC; the classical conditions
         # are not defined there, so the audit abstains.
         scc, margin = None, None
         sonc, sosc = None, None
-        _, _, eigs = check_second_order(inst, u, lam, mu, act)
         notes.append("CQC fails: SCC/SONC/SOSC reported as inconclusive")
 
     return LocalReport(

@@ -51,13 +51,12 @@ def augment_archimedean(inst: PopInstance, radius_sq: float) -> PopInstance:
 
 @dataclass
 class SosLayout:
-    """Row/variable bookkeeping of a built SOS relaxation."""
+    """Row/variable bookkeeping of a built SOS relaxation; free column 0 is gamma."""
 
     kind: str
     level: int
     nvars: int
     row_monomials: tuple
-    gamma_index: int
     phi_slices: list          # per equality: (first free index, monomial basis)
     block_bases: list         # per block j = 0..m2: monomial basis of the Gram block
 
@@ -151,7 +150,6 @@ def build_sos_relaxation(inst: PopInstance, k: int) -> SdpProblem:
     layout = SosLayout(
         kind="sos", level=k, nvars=n,
         row_monomials=tuple(rows.entries),
-        gamma_index=0,
         phi_slices=phi_slices,
         block_bases=[tuple(b.entries) for b in bases])
     return SdpProblem(

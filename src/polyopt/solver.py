@@ -283,17 +283,17 @@ def _operators(blk: CoeffBlock):
     as many matrices as keep U and T of a chunk within ``_CHUNK_BYTES`` in
     ``_schur``, so a block under that budget is one chunk.  All are views of
     one dense array when the block is small enough that scipy's per-call
-    cost would outweigh the zeros, else CSR."""
+    cost would outweigh the zeros, else A and the stack are CSR and A^T is
+    ``a.T``, the CSC view over A's arrays."""
     nrows, s = blk.nrows, blk.size
     if nrows * s * s < _DENSE_BELOW:
         a = np.zeros((nrows, s * s))
         a[blk.rows, blk.cols] = blk.vals
-        a_t, stack = a.T, a.reshape(nrows * s, s)
+        stack = a.reshape(nrows * s, s)
     else:
         indptr = np.zeros(nrows + 1, dtype=np.int64)
         np.cumsum(np.bincount(blk.rows, minlength=nrows), out=indptr[1:])
         a = csr_array((blk.vals, blk.cols, indptr), shape=(nrows, s * s))
-        a_t = a.T.tocsr()
         # row (m, p) of the stack holds row p of A_m; the triplet order is kept
         stack_rows = blk.rows * s + blk.cols // s
         indptr = np.zeros(nrows * s + 1, dtype=np.int64)
@@ -301,7 +301,7 @@ def _operators(blk: CoeffBlock):
         stack = csr_array((blk.vals, blk.cols % s, indptr), shape=(nrows * s, s))
     step = max(1, _CHUNK_BYTES // (8 * s * s))
     bounds = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
-    return a, a_t, [(lo, hi, stack[lo * s:hi * s]) for lo, hi in bounds]
+    return a, a.T, [(lo, hi, stack[lo * s:hi * s]) for lo, hi in bounds]
 
 
 def _independent_columns(bmat, c_free):
@@ -362,12 +362,6 @@ def _start(prob: SdpProblem, opts: SolverOptions):
                           np.zeros(bmat.shape[1]), np.zeros(prob.nrows))
 
 
-def _objectives(data: _Data, it: _Iterate):
-    primal = float(data.c_free @ it.u) + sum(float(np.vdot(cb, xb))
-                                             for cb, xb in zip(data.c_blocks, it.x))
-    return primal, float(data.b @ it.v)
-
-
 def _measure(data: _Data, it: _Iterate) -> dict:
     """Residuals, objectives, gaps and mu of ``it``, stored on it and
     returned as a trace row."""
@@ -376,7 +370,9 @@ def _measure(data: _Data, it: _Iterate) -> dict:
     it.r_d = [at - cb - zb for at, cb, zb in zip(atv, data.c_blocks, it.z)]
     it.r_f = data.c_free - data.bmat.T @ it.v
     it.mu = sum(float(np.vdot(xb, zb)) for xb, zb in zip(it.x, it.z)) / data.ntotal
-    it.primal, it.dual = _objectives(data, it)
+    it.primal = float(data.c_free @ it.u) + sum(float(np.vdot(cb, xb))
+                                                for cb, xb in zip(data.c_blocks, it.x))
+    it.dual = float(data.b @ it.v)
     it.err_p = float(np.linalg.norm(it.r_p)) / data.b_scale
     it.err_d = max(max(float(np.linalg.norm(rd)) for rd in it.r_d),
                    float(np.linalg.norm(it.r_f))) / data.c_scale
@@ -460,7 +456,11 @@ def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
     -nrows * eps, the size of the rounding in forming and factoring it.  So
     a failed Cholesky is retried once with ``_CHOL_SHIFT * nrows`` added to
     the unit diagonal.  Solves refine against ``_kkt_apply``, which absorbs
-    that shift and the rounding of the formed M.
+    that shift and the rounding of the formed M.  Cholesky is invariant to
+    diagonal scaling, but the scaling stays for its rounding: unscaled, with
+    the retry multiplying the diagonal by 1 + 10 nrows eps, the gallery's
+    ``equality-quadratic`` level 3 and a repeated equality end
+    ``near_optimal`` instead of ``optimal``.
     """
     z_inv = []
     for s, lc in zip(data.sizes, it.z_chol):
@@ -641,14 +641,16 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     ``max_iter`` otherwise.  Clear certificate-of-infeasibility or
     divergence patterns are reported as ``infeasible`` / ``unbounded``, and
     so is a primal feasible best iterate when B's null space moves c.u.
+    Raises ValueError when ``opts.max_iter`` is below 1.
     """
     opts = opts or SolverOptions()
+    if opts.max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {opts.max_iter}")
     prob.validate()
     data, it = _start(prob, opts)
     trace, notes = [], []
     status, converged, polish_left, stall_count = STATUS_MAX_ITER, False, POLISH_ITERS, 0
     best = None
-    iteration = 0
     for iteration in range(1, opts.max_iter + 1):
         trace.append({"iteration": iteration - 1, **_measure(data, it)})
         if best is None or it.score < best.score:
@@ -697,17 +699,15 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         it = it_next
         trace[-1].update({"alpha_p": alpha_p, "alpha_d": alpha_d, "sigma": sigma})
 
-    if status == STATUS_MAX_ITER and best is not None:
-        # report the best iterate seen, not whatever state a breakdown or the
-        # polish phase left behind
+    if status == STATUS_MAX_ITER:
+        # no ray: report the best iterate seen, not whatever state a
+        # breakdown or the polish phase left behind (a ray's iterate was
+        # measured in the iteration that found it)
         status, it = _final_status(best, converged, opts), best
         if data.null_moves_c and best.err_p <= opts.tol_feas:
             status = STATUS_UNBOUNDED
             notes.append("feasible point found and a null direction of B moves the "
                          "objective: objective unbounded above")
-    else:
-        # a ray was found, or max_iter < 1 and no iteration measured ``it``
-        it.primal, it.dual = _objectives(data, it)
     u = it.u
     if data.free_cols is not None:
         u = np.zeros(prob.nfree)

@@ -28,9 +28,11 @@ hashed as its error message.  The solves are:
 BLAS is pinned to one thread, since the reduction order of more threads
 changes the rounding.  ``polyopt`` is imported from ``PYTHONPATH``, so
 pointing it at another checkout's ``src`` hashes that checkout's solver with
-the same problems.  The file has one ``name hash`` line per solve; with
-``--compare FILE`` the script names every solve whose hash differs from (or
-is missing in) FILE and exits with status 1 if there is any.
+the same problems.  The file has one ``name hash status iterations`` line
+per solve and one ``name hash`` line per artifact hash.  With ``--compare
+FILE`` the script names every hash that differs from (or is missing in)
+FILE, prints how a differing solve moved (status and iterations, FILE's
+then this run's), and exits with status 1 if any hash differs.
 """
 
 import os
@@ -117,15 +119,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the hashes to this file")
     parser.add_argument("--compare", help="name the solves whose hashes differ from this file's")
     args = parser.parse_args(argv)
-    hashes = {}
+    hashes = {}   # name -> [hash, status, iterations] for a solve, [hash] for artifacts
     iterations = 0
     for name, inst, prob in problems():
         sol = solve(prob)
-        hashes[name] = solve_hash(sol)
+        hashes[name] = [solve_hash(sol), sol.status, str(sol.iterations)]
         iterations += sol.iterations
         if prob.layout.kind == "sos":
-            hashes[f"{name}-artifacts"] = artifacts_hash(inst, prob, sol)
-    lines = [f"{name} {h}\n" for name, h in hashes.items()]
+            hashes[f"{name}-artifacts"] = [artifacts_hash(inst, prob, sol)]
+    lines = [" ".join([name, *fields]) + "\n" for name, fields in hashes.items()]
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(lines)
@@ -135,11 +137,15 @@ def main(argv=None) -> int:
     if not args.compare:
         return 0
     with open(args.compare) as fh:
-        want = dict(line.split() for line in fh if line.strip())
-    differ = [name for name in hashes if want.get(name) != hashes[name]]
+        want = {fields[0]: fields[1:] for fields in map(str.split, fh) if fields}
+    differ = [name for name in hashes if want.get(name, [None])[0] != hashes[name][0]]
     differ += [name for name in want if name not in hashes]
     for name in differ:
-        print(f"differs: {name}")
+        before, after = want.get(name, []), hashes.get(name, [])
+        moved = ""
+        if len(before) == 3 and len(after) == 3:
+            moved = f": status {before[1]} -> {after[1]}, iterations {before[2]} -> {after[2]}"
+        print(f"differs: {name}{moved}")
     print(f"{len(differ)} of {len(hashes)} hashes differ", file=sys.stderr)
     return 1 if differ else 0
 

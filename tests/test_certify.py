@@ -29,7 +29,7 @@ class TestExtract:
         assert cert.identity_residual <= 1e-7
         assert cert.verified
         # single square close to (x + 1)^2
-        squares = cert.sos_decompositions[0]
+        squares = gram.squares()
         big = max(squares, key=lambda p: p.coeff_norm())
         vals = np.array([big.eval([t]) for t in (-1.0, 0.0, 2.0)])
         target = np.array([0.0, 1.0, 3.0])
@@ -61,10 +61,10 @@ class TestExtract:
                            g=(ball_constraint(2, 1.0),))
         prob, sol = solve_sos(inst, 2)
         cert = extract_certificate(prob, sol, inst)
-        for gram, squares in zip(cert.sigma_grams, cert.sos_decompositions):
+        for gram in cert.sigma_grams:
             sigma = gram.to_polynomial(2)
             rebuilt = Polynomial.zero(2)
-            for s in squares:
+            for s in gram.squares():
                 rebuilt = rebuilt + s * s
             assert (sigma - rebuilt).coeff_norm() <= 1e-7 * (1.0 + sigma.coeff_norm())
 
@@ -72,12 +72,10 @@ class TestExtract:
 class TestVerify:
     def test_hand_built_exact(self):
         inst = PopInstance(f=Polynomial(1, {(2,): 1.0}))
-        x = Polynomial.variable(1, 0)
         cert = Certificate(
             gamma=0.0, phi=[],
             sigma_grams=[GramBlock(basis=((0,), (1,)),
                                    matrix=np.array([[0.0, 0.0], [0.0, 1.0]]))],
-            sos_decompositions=[[x]],
             identity_residual=0.0, verified=True, level=1, tolerance=1e-6, nvars=1)
         passed, residual = verify_certificate(cert, inst)
         assert passed
@@ -111,7 +109,7 @@ class TestGramRepair:
         for _ in range(20):
             sym = rng.standard_normal((3, 3))
             sym = (sym + sym.T) / 2.0
-            clipped, _, neg_mass = gram_clip_psd(sym, bas, 2)
+            clipped, neg_mass = gram_clip_psd(sym)
             assert np.linalg.eigvalsh(clipped).min() >= -1e-12
             before = GramBlock(bas, sym).to_polynomial(2)
             after = GramBlock(bas, clipped).to_polynomial(2)
@@ -122,10 +120,10 @@ class TestGramRepair:
     def test_squares_from_psd_gram(self):
         mat = np.array([[2.0, 1.0], [1.0, 2.0]])
         bas = ((0,), (1,))
-        clipped, squares, neg_mass = gram_clip_psd(mat, bas, 1)
+        clipped, neg_mass = gram_clip_psd(mat)
         assert neg_mass == 0.0 and np.allclose(clipped, mat, rtol=0.0, atol=1e-15)
         rebuilt = Polynomial.zero(1)
-        for s in squares:
+        for s in GramBlock(bas, clipped).squares():
             rebuilt = rebuilt + s * s
         assert (rebuilt - GramBlock(bas, mat).to_polynomial(1)).coeff_norm() <= 1e-12
 
@@ -135,8 +133,9 @@ class TestGramRepair:
         q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
         mat = q @ np.diag([-1e-9, 1e-6, 2.0]) @ q.T
         bas = ((0,), (1,), (2,))
-        clipped, squares, neg_mass = gram_clip_psd(mat, bas, 1)
+        clipped, neg_mass = gram_clip_psd(mat)
         assert neg_mass == pytest.approx(1e-9, rel=1e-6)
+        squares = GramBlock(bas, clipped).squares()
         assert len(squares) == 2
         rebuilt = Polynomial.zero(1)
         for s in squares:
@@ -181,14 +180,15 @@ class TestFlatTruncation:
 class TestMinimizerExtraction:
     def test_point_mass(self):
         y = MomentVector.from_point_mass([1.0, -2.0], 2)
-        u = extract_minimizer_rank1(y)
+        u, reason = extract_minimizer_rank1(y)
         assert np.allclose(u, [1.0, -2.0], atol=1e-12)
+        assert reason is None
 
     def test_rank_two_rejected(self):
         y = MomentVector.mixture([[0.5, 0.0], [-0.5, 0.3]], [0.5, 0.5], 2)
-        details = {}
-        assert extract_minimizer_rank1(y, details=details) is None
-        assert "rank" in details["reason"]
+        u, reason = extract_minimizer_rank1(y)
+        assert u is None
+        assert "rank" in reason
 
     def test_quadratic_instance_matches_closed_form(self):
         # minimizer of 2x1^2 + x2^2 + x1 x2 - x1 - x2 is (1/7, 3/7)
@@ -199,8 +199,8 @@ class TestMinimizerExtraction:
         prob = build_sos_relaxation(inst, 1)
         sol = solve(prob)
         y = extract_dual_moments(sol, prob.layout)
-        u = extract_minimizer_rank1(y, inst, sol.primal_objective)
-        assert u is not None
+        u, reason = extract_minimizer_rank1(y, inst, sol.primal_objective)
+        assert u is not None and reason is None
         assert np.allclose(u, [1.0 / 7.0, 3.0 / 7.0], atol=1e-5)
 
     def test_inconsistent_moment_named(self):
@@ -208,17 +208,17 @@ class TestMinimizerExtraction:
         # 651), but y_{x2^2} is off by more than the point-mass tolerance
         y = MomentVector.from_point_mass([5.0, 0.0], 2)
         y.values[basis(2, 4).index[(0, 2)]] += 1e-4
-        details = {}
-        assert extract_minimizer_rank1(y, details=details) is None
-        assert details["reason"].startswith("moment of (0, 2) inconsistent")
+        u, reason = extract_minimizer_rank1(y)
+        assert u is None
+        assert reason.startswith("moment of (0, 2) inconsistent")
 
     def test_infeasible_point_rejected(self):
         inst = PopInstance(f=Polynomial(2, {(2, 0): 1.0}),
                            g=(ball_constraint(2, 1.0),))
         y = MomentVector.from_point_mass([2.0, 0.0], 2)
-        details = {}
-        assert extract_minimizer_rank1(y, inst, details=details) is None
-        assert "infeasible" in details["reason"]
+        u, reason = extract_minimizer_rank1(y, inst)
+        assert u is None
+        assert "infeasible" in reason
 
 
 class TestCertificateFiles:
@@ -236,6 +236,46 @@ class TestCertificateFiles:
         assert residual == pytest.approx(cert.identity_residual, rel=1e-9, abs=1e-12)
         doc = json.loads(path.read_text())
         assert doc["format"] == "polyopt-certificate v1"
+
+    def test_written_squares_reexpand_to_written_gram(self, tmp_path):
+        inst = PopInstance(
+            f=Polynomial(2, {(4, 0): 1.0, (0, 4): 1.0, (1, 1): -1.0, (0, 0): 0.5}),
+            g=(ball_constraint(2, 1.0),))
+        prob, sol = solve_sos(inst, 2)
+        path = tmp_path / "cert.json"
+        write_certificate(extract_certificate(prob, sol, inst), path, inst)
+        doc = json.loads(path.read_text())
+        assert len(doc["sigma"]) == 2
+        for entry in doc["sigma"]:
+            assert entry["squares"]
+            bas = tuple(tuple(m) for m in entry["basis"])
+            sigma = GramBlock(bas, np.array(entry["gram"])).to_polynomial(2)
+            rebuilt = Polynomial.zero(2)
+            for records in entry["squares"]:
+                square = Polynomial(2, {tuple(r["exponents"]): r["coefficient"]
+                                        for r in records})
+                rebuilt = rebuilt + square * square
+            assert (sigma - rebuilt).coeff_norm() <= 1e-12 * sigma.coeff_norm()
+
+    def test_squares_are_not_read_back(self, tmp_path):
+        inst = PopInstance(f=Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 2.0}),
+                           g=(ball_constraint(2, 1.0),))
+        prob, sol = solve_sos(inst, 1)
+        path = tmp_path / "cert.json"
+        write_certificate(extract_certificate(prob, sol, inst), path, inst)
+        garbage = json.loads(path.read_text())
+        for entry in garbage["sigma"]:
+            entry["squares"] = [[{"coefficient": 1e300, "exponents": [7, 7]}], "not a square"]
+        bad = tmp_path / "garbage.json"
+        bad.write_text(json.dumps(garbage))
+        cert, embedded = read_certificate(path)
+        again, _ = read_certificate(bad)
+        assert verify_certificate(again, embedded) == verify_certificate(cert, embedded)
+        for ours, theirs in zip(again.sigma_grams, cert.sigma_grams):
+            assert ours.basis == theirs.basis
+            assert np.array_equal(ours.matrix, theirs.matrix)
+        assert (again.gamma, again.identity_residual, again.verified) == \
+            (cert.gamma, cert.identity_residual, cert.verified)
 
     def test_soundness_on_samples(self):
         from oracles import sample_feasible_points

@@ -63,6 +63,14 @@ class TestSolveCommand:
     def test_solver_failure_exit_code(self, quad_file, capsys):
         assert run_cli("solve", quad_file, "--max-iter", "1") == 3
 
+    @pytest.mark.parametrize("command", ["solve", "hierarchy", "certify"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_iter_below_one(self, quad_file, tmp_path, monkeypatch, command, value, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, quad_file, "--max-iter", value) == 2
+        assert capsys.readouterr().err == f"error: --max-iter must be at least 1, got {value}\n"
+        assert not (tmp_path / "certificate.json").exists()
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -157,6 +165,15 @@ class TestCertifyVerify:
         doc["sigma"][0]["gram"][0][0] += 0.25
         cert.write_text(json.dumps(doc))
         assert run_cli("verify", str(cert)) == 4
+        # a Gram entry that is not a finite square matrix over its basis fails,
+        # it does not crash the verifier
+        gram = doc["sigma"][0]["gram"]
+        nan_gram = [row[:] for row in gram]
+        nan_gram[1][1] = float("nan")
+        for bad in (gram[0], nan_gram):
+            doc["sigma"][0]["gram"] = bad
+            cert.write_text(json.dumps(doc))
+            assert run_cli("verify", str(cert)) == 4
 
     def test_verify_bad_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -128,6 +128,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             solve(prob)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_raises(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            solve(scalar_bound_problem(), SolverOptions(max_iter=max_iter))
+
 
 class TestAgainstProjectionOracle:
     def test_random_instances_match(self):
@@ -254,6 +259,9 @@ class TestKernels:
         prob = build()
         data, _ = _start(prob, SolverOptions())
         assert all(scipy.sparse.issparse(a) == sparse for a in data.a_ops)
+        # A^T is a view over A's arrays, not a second copy
+        for a, a_t in zip(data.a_ops, data.a_ts):
+            assert np.shares_memory(a.data if sparse else a, a_t.data if sparse else a_t)
         dense = prob.to_dense()
         rng = np.random.default_rng(17)
         x_blocks, z_inv = [], []
