@@ -30,10 +30,13 @@ sol = solve(prob)
 value = relaxation_value(prob, sol)
 print(f"\nsolved: status {sol.status}, {sol.iterations} iterations, bound {value:.10f}")
 
-# The moment form is the dual program; weak duality puts the SOS value below it.
+# The moment form is the dual program, built as the SOS form's dual().  The
+# two are one primal-dual pair, so solve answers it from a run on the SOS
+# form, transposed: its bound is that run's dual objective, within the gap
+# tolerance of the SOS bound.
 mom = build_moment_relaxation(inst, 1)
 mom_sol = solve(mom)
-print(f"moment form bound {relaxation_value(mom, mom_sol):.10f} (they agree)")
+print(f"moment form bound {relaxation_value(mom, mom_sol):.10f} ({mom_sol.notes[0]})")
 
 # Certificate: gamma, PSD Gram matrices, identity residual.  The squares are
 # one factorization of a Gram matrix, rendered from it on demand.

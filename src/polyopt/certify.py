@@ -348,11 +348,14 @@ def verify_certificate(cert: Certificate, inst: PopInstance,
 
     Re-expands sigma_j from the stored Gram matrices, forms the right-hand
     side with polynomial arithmetic, and compares coefficients against
-    f - gamma.  Returns (passed, max absolute coefficient defect).
+    f - gamma.  Returns (passed, max absolute coefficient defect); the
+    defect is inf when the certificate does not match the instance's shape,
+    or when gamma, a Gram entry or a coefficient of the identity is not
+    finite.
     """
     if len(cert.sigma_grams) != len(inst.g) + 1:
         return False, float("inf")
-    if len(cert.phi) != len(inst.h):
+    if len(cert.phi) != len(inst.h) or not math.isfinite(cert.gamma):
         return False, float("inf")
     psd_ok = True
     for gram in cert.sigma_grams:
@@ -363,7 +366,10 @@ def verify_certificate(cert: Certificate, inst: PopInstance,
         scale = max(abs(float(eigvals[-1])), 1.0)
         if eigvals[0] < -PSD_CHECK_TOL * scale:
             psd_ok = False
-    residual = certificate_defect(cert, inst).coeff_norm()
+    try:
+        residual = certificate_defect(cert, inst).coeff_norm()
+    except ValueError:   # an overflowing coefficient, as from a huge phi, or other nvars
+        return False, float("inf")
     passed = psd_ok and residual <= tol * (1.0 + inst.f.coeff_norm())
     return passed, residual
 

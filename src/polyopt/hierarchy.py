@@ -111,7 +111,8 @@ def run_hierarchy(inst: PopInstance,
     ``certificate_k<level>.json``.  ``stagnation_tol`` is the relative
     increase below which a level counts as stagnant; the default sits under
     the solver tolerance, so stagnation stops are rare unless the caller
-    loosens it.
+    loosens it.  Options the solver would reject (``max_iter`` below 1)
+    raise ValueError before any level is built.
     """
     min_k = inst.min_level()
     if k_min is None:
@@ -124,6 +125,8 @@ def run_hierarchy(inst: PopInstance,
         k_max = k_min + 3
     if k_max < k_min:
         raise ValueError(f"k_max {k_max} below k_min {k_min}")
+    if solver_options is not None:
+        solver_options.validate()
 
     run = HierarchyRun(instance=inst)
     stagnant_steps = 0

@@ -36,9 +36,14 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _canonicalize(terms: dict, drop_rel: float = COEFF_DROP_REL) -> dict:
-    """Drop zero and dust coefficients; keys stay exponent tuples."""
+    """Drop zero and dust coefficients; keys stay exponent tuples.  Raises
+    ValueError on a coefficient that is not finite: a NaN would make every
+    dust test false and drop every term."""
     if not terms:
         return {}
+    if not all(map(math.isfinite, terms.values())):
+        bad = next(m for m, c in terms.items() if not math.isfinite(c))
+        raise ValueError(f"coefficient {terms[bad]!r} of monomial {bad} is not finite")
     biggest = max(abs(c) for c in terms.values())
     if biggest == 0.0:
         return {}
@@ -51,7 +56,8 @@ class Polynomial:
 
     Stored in canonical form: no zero coefficients, and any coefficient
     smaller than ``COEFF_DROP_REL`` times the largest one is dropped (guards
-    against float dust after cancellations).
+    against float dust after cancellations).  A coefficient that is not
+    finite, given or produced by arithmetic, raises ValueError.
     """
 
     __slots__ = ("nvars", "terms")
@@ -302,7 +308,10 @@ class Polynomial:
                 expo[idx] += power
             key = tuple(expo)
             terms[key] = terms.get(key, 0.0) + coeff
-        return Polynomial(nvars, terms)
+        try:
+            return Polynomial(nvars, terms)
+        except ValueError as exc:   # a coefficient that is not finite
+            raise ParseError(f"{exc} in {text!r}") from exc
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self.to_text()!r})"

@@ -99,7 +99,10 @@ def _poly_from_records(records, nvars: int) -> Polynomial:
             raise ParseError(
                 f"exponent vector {list(expo)} has length {len(expo)}, expected {nvars}")
         terms[expo] = terms.get(expo, 0.0) + coeff
-    return Polynomial(nvars, terms)
+    try:
+        return Polynomial(nvars, terms)
+    except ValueError as exc:   # a negative exponent or a coefficient that is not finite
+        raise ParseError(f"bad polynomial term records: {exc}") from exc
 
 
 def instance_to_dict(inst: PopInstance) -> dict:

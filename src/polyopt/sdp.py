@@ -11,6 +11,9 @@ every block j and  B^T v = c_free.  ``SdpProblem.dual()`` writes that dual in
 the same maximization form, with v free and the slack of block j as X_j:
 maximize -rhs . v subject to the nfree rows B^T v = c_free, then one row per
 block entry p <= q.  The moment relaxation is built this way from the SOS one.
+The result keeps the problem it was made from in ``dual_of``, which
+``solver.solve`` uses to answer it from one run on that, usually smaller,
+problem.
 
 The coefficient matrices of a relaxation are well under 2% nonzero, so each
 block's A_{j,0..nrows-1} is stored as a ``CoeffBlock``: triplets (row m, flat
@@ -133,6 +136,7 @@ class SdpProblem:
     c_blocks: list | None = None   # per block: (s, s); zeros when omitted
     name: str = ""
     layout: object = None     # builder metadata (row monomials, variable map); not serialized
+    dual_of: SdpProblem | None = None  # the problem this is ``dual()`` of; not serialized
 
     def __post_init__(self):
         self.block_sizes = [int(s) for s in self.block_sizes]
@@ -165,7 +169,14 @@ class SdpProblem:
     def dual(self) -> "SdpProblem":
         """The dual in this maximization form (module docstring): v free, the rows
         B^T v = c_free, then per block j and p <= q in ``np.triu_indices``
-        order Z_j[p,q] - A_j*(v)[p,q] = -C_j[p,q] with the slack Z_j as block j."""
+        order Z_j[p,q] - A_j*(v)[p,q] = -C_j[p,q] with the slack Z_j as block j.
+
+        The result's ``dual_of`` is this problem, and ``solver.solve`` answers
+        it from a run on this one.  The link holds only while neither problem
+        changes, so edit the result in place only after dropping it
+        (``result.dual_of = None``, or ``dataclasses.replace(result,
+        dual_of=None)`` for a copy); without the link ``solve`` runs the
+        result itself."""
         nrows = self.nfree + sum(s * (s + 1) // 2 for s in self.block_sizes)
         a_blocks, b_rows, rhs, first = [], [self.b_free.T], [self.c_free], self.nfree
         for a, c, s in zip(self.a_blocks, self.c_blocks, self.block_sizes):
@@ -189,7 +200,7 @@ class SdpProblem:
             first += len(p)
         return SdpProblem(
             block_sizes=self.block_sizes, a_blocks=a_blocks, b_free=np.concatenate(b_rows),
-            rhs=np.concatenate(rhs), c_free=0.0 - self.rhs)
+            rhs=np.concatenate(rhs), c_free=0.0 - self.rhs, dual_of=self)
 
     def validate(self):
         """Raise ValueError on inconsistent dimensions or asymmetric coefficients."""

@@ -6,6 +6,18 @@ Solves the maximization form of `SdpProblem`:
 
 together with its dual  min b.v  s.t.  Z_j = A_j*(v) - C_j PSD,  B^T v = c.
 
+A problem made by ``SdpProblem.dual()`` is that dual written in the same
+form, and it keeps its source in ``dual_of``.  The two are one primal-dual
+pair, so ``solve`` runs the interior-point method on the source and, when
+that run ends ``optimal``, returns its solution transposed (``_as_dual``).
+The moment relaxation is such a problem, and its source, the SOS form, is
+the smaller of the two: at Motzkin level 5 it has 286 rows and one free
+column against 2,227 rows and 286 free columns, on which the direct run
+stalls.  GloptiPoly 3 hands the moment SDP to its solver in this dual form
+for the same reason (Henrion, Lasserre and Lofberg, Optim. Methods Softw.
+24, 2009).  Any other outcome of the source run falls back to a run on the
+problem itself, so routing never makes a status worse.
+
 X, Z, B and the Schur complement are dense; the coefficients A are not.
 ``_start`` turns each block's triplets into three operators built once per
 solve: A as an (nrows, s*s) matrix, its transpose, and the matrices
@@ -98,6 +110,7 @@ which makes runs reproducible for identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +142,12 @@ class SolverOptions:
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 200
+
+    def validate(self):
+        """Raise ValueError when ``max_iter`` is below 1."""
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        return self
 
 
 @dataclass
@@ -425,14 +444,27 @@ def _schur(data: _Data, x_blocks, z_inv):
     associated as (X A_n) Z^{-1}, as it was with dense A; the free-variable
     endgame is sensitive enough to rounding that X (A_n Z^{-1}) leaves
     other corpus levels short of the tolerances.
+
+    M is then symmetrized in place, one pair of square tiles (I, J), I <= J,
+    at a time, each entry becoming (M_ij + M_ji) / 2 as in ``_sym`` but with
+    a temporary of at most ``_CHUNK_BYTES`` instead of a second M.
     """
-    schur = np.zeros((data.nrows, data.nrows))
+    nrows = data.nrows
+    schur = np.zeros((nrows, nrows))
     for a, chunks, s, xb, zi in zip(data.a_ops, data.a_stacks, data.sizes, x_blocks, z_inv):
         for lo, hi, rows in chunks:
             u = (rows @ xb).reshape(hi - lo, s, s)
             t = np.matmul(u.transpose(0, 2, 1), zi).reshape(hi - lo, -1)
             schur[:, lo:hi] += a @ t.T
-    return _sym(schur)
+    tile = max(1, math.isqrt(_CHUNK_BYTES // 8))
+    for i in range(0, nrows, tile):
+        for j in range(i, nrows, tile):
+            upper, lower = schur[i:i + tile, j:j + tile], schur[j:j + tile, i:i + tile]
+            mean = upper + lower.T
+            mean /= 2.0
+            upper[...] = mean
+            lower[...] = mean.T
+    return schur
 
 
 def _factor_kkt(data: _Data, it: _Iterate) -> _Kkt | None:
@@ -632,6 +664,12 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     """Run the predictor-corrector iteration until the duality gap and both
     feasibility residuals are below tolerance.
 
+    A problem made by ``SdpProblem.dual()`` is answered from the problem it
+    is the dual of (``prob.dual_of``, validated too): when the run on that
+    one ends ``optimal``, its solution is returned in ``prob``'s terms
+    (``_as_dual``), with that run's iterations, trace and notes and one
+    note more.  Otherwise ``prob`` itself is solved.
+
     Numerical breakdown (a KKT system that cannot be factored, a nonfinite
     direction, a step that cannot keep X or Z positive definite, or a
     collapsed step length) ends the run with a diagnostic note rather than an
@@ -643,10 +681,19 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     so is a primal feasible best iterate when B's null space moves c.u.
     Raises ValueError when ``opts.max_iter`` is below 1.
     """
-    opts = opts or SolverOptions()
-    if opts.max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {opts.max_iter}")
+    opts = (opts or SolverOptions()).validate()
     prob.validate()
+    if prob.dual_of is not None:
+        # the IPM proper is ``_run``: ``solve`` is the entry point that
+        # tracers wrap, so it is never called twice for one solve
+        sol = _run(prob.dual_of.validate(), opts)
+        if sol.status == STATUS_OPTIMAL:
+            return _as_dual(sol, prob.dual_of)
+    return _run(prob, opts)
+
+
+def _run(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
+    """The interior-point run on a validated ``prob`` (``solve``)."""
     data, it = _start(prob, opts)
     trace, notes = [], []
     status, converged, polish_left, stall_count = STATUS_MAX_ITER, False, POLISH_ITERS, 0
@@ -717,6 +764,36 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         primal_objective=it.primal, dual_objective=it.dual, iterations=iteration,
         residuals={"primal": it.err_p, "dual": it.err_d, "gap": it.rel_gap},
         trace=trace, notes=notes)
+
+
+_SWAPPED = {"primal": "dual", "dual": "primal", "err_primal": "err_dual",
+            "err_dual": "err_primal", "alpha_p": "alpha_d", "alpha_d": "alpha_p"}
+
+
+def _as_dual(sol: SdpSolution, source: SdpProblem) -> SdpSolution:
+    """The solution of ``source.dual()`` that ``sol``, a solution of
+    ``source``, is: the blocks X and Z trade places, the free values are
+    ``sol``'s dual vector, and the dual vector is -u followed by each block's
+    upper triangle of X with the off-diagonal entries doubled (the rows of
+    ``dual()`` hold Z[p, q] = <E_pq, Z>, E_pq taking half of each
+    off-diagonal entry).  Objectives are negated and swap sides, as do the
+    residuals, the trace rows' primal and dual fields and the step lengths;
+    everything is copied bit for bit or negated."""
+    dual_vector = [-sol.free_values]
+    for x in sol.x_blocks:
+        p, q = np.triu_indices(len(x))
+        dual_vector.append(np.where(p == q, 1.0, 2.0) * x[p, q])
+    trace = [{_SWAPPED.get(key, key): -val if key in ("primal", "dual") else val
+              for key, val in row.items()} for row in sol.trace]
+    res = sol.residuals
+    return SdpSolution(
+        status=sol.status, x_blocks=sol.z_blocks, free_values=sol.dual_vector,
+        dual_vector=np.concatenate(dual_vector), z_blocks=sol.x_blocks,
+        primal_objective=-sol.dual_objective, dual_objective=-sol.primal_objective,
+        iterations=sol.iterations,
+        residuals={"primal": res["dual"], "dual": res["primal"], "gap": res["gap"]},
+        trace=trace, notes=[f"solved as the dual of {source.name or 'its source problem'}",
+                            *sol.notes])
 
 
 def write_trace_csv(sol: SdpSolution, path) -> None:

@@ -1,4 +1,4 @@
-"""One SHA-256 per solve over a fixed set of 794 SDP solves, to check that a
+"""One SHA-256 per solve over a fixed set of 974 SDP solves, to check that a
 change to the solver, the builders or ``certify`` leaves every solve and its
 post-solve artifacts bit-identical.
 
@@ -25,6 +25,12 @@ hashed as its error message.  The solves are:
   entropy 7, spawn keys 0-59: 60 random quadratics over the unit disk with one
   linear equality) in SOS and moment form at levels 1 and 2 (240 solves).
 
+``solve`` answers a moment-form problem from the SOS problem it is the dual
+of (``SdpProblem.dual_of``).  So each of the 180 moment-form problems is
+hashed twice: under ``<name>`` as solved with that link removed, which runs
+the moment form's own KKT system, and under ``<name>-routed`` as ``solve``
+returns it.
+
 BLAS is pinned to one thread, since the reduction order of more threads
 changes the rounding.  ``polyopt`` is imported from ``PYTHONPATH``, so
 pointing it at another checkout's ``src`` hashes that checkout's solver with
@@ -42,6 +48,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -62,8 +69,15 @@ ENSEMBLE_SEED = 101
 EQUALITY_SEED = 7
 
 
+def moment_forms(name, inst, k):
+    """The moment form of level k, with and without its link to the SOS form."""
+    prob = build_moment_relaxation(inst, k)
+    yield name, inst, dataclasses.replace(prob, dual_of=None)
+    yield f"{name}-routed", inst, prob
+
+
 def problems():
-    """Yield (name, PopInstance, SdpProblem) for the 794 solves, in a fixed order."""
+    """Yield (name, PopInstance, SdpProblem) for the 974 solves, in a fixed order."""
     motzkin = gallery_instance("motzkin-ball")
     for k in range(3, 7):
         yield f"motzkin-sos-{k}", motzkin, build_sos_relaxation(motzkin, k)
@@ -75,16 +89,17 @@ def problems():
     corpus = list(corpus_instances(spawn_key=1))
     for i, inst in corpus:
         for k in range(inst.min_level(), inst.min_level() + 2):
-            yield f"corpus-{i}-moment-{k}", inst, build_moment_relaxation(inst, k)
+            yield from moment_forms(f"corpus-{i}-moment-{k}", inst, k)
     for i, inst in corpus:
         for k in range(inst.min_level(), inst.min_level() + 3):
             yield f"corpus-{i}-sos-{k}", inst, build_sos_relaxation(inst, k)
     for i in range(60):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=EQUALITY_SEED, spawn_key=(i,)))
         inst = random_instance(2, 2, rng, n_equalities=1)
-        for form, builder in (("sos", build_sos_relaxation), ("moment", build_moment_relaxation)):
-            for k in (1, 2):
-                yield f"equality-{i}-{form}-{k}", inst, builder(inst, k)
+        for k in (1, 2):
+            yield f"equality-{i}-sos-{k}", inst, build_sos_relaxation(inst, k)
+        for k in (1, 2):
+            yield from moment_forms(f"equality-{i}-moment-{k}", inst, k)
 
 
 def solve_hash(sol) -> str:

@@ -81,6 +81,28 @@ class TestVerify:
         assert passed
         assert residual == 0.0
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_nonfinite_gamma_fails(self, gamma):
+        # f = x^2 with Gram diag(0, 1): a NaN gamma once dropped out of
+        # f - gamma and the certificate passed with residual 0
+        inst = PopInstance(f=Polynomial(1, {(2,): 1.0}))
+        cert = Certificate(
+            gamma=gamma, phi=[],
+            sigma_grams=[GramBlock(basis=((0,), (1,)),
+                                   matrix=np.array([[0.0, 0.0], [0.0, 1.0]]))],
+            identity_residual=0.0, verified=True, level=1, tolerance=1e-6, nvars=1)
+        assert verify_certificate(cert, inst) == (False, float("inf"))
+
+    def test_overflowing_phi_fails(self):
+        # phi_1 h_1 is not finite, so the identity cannot be formed
+        inst = PopInstance(f=Polynomial(1, {(2,): 1.0}), h=(Polynomial(1, {(1,): 1e10}),))
+        cert = Certificate(
+            gamma=0.0, phi=[Polynomial(1, {(1,): 1e300})],
+            sigma_grams=[GramBlock(basis=((0,), (1,)),
+                                   matrix=np.array([[0.0, 0.0], [0.0, 1.0]]))],
+            identity_residual=0.0, verified=True, level=1, tolerance=1e-6, nvars=1)
+        assert verify_certificate(cert, inst) == (False, float("inf"))
+
     def test_tampered_gram_fails(self):
         inst = PopInstance(f=Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0}),
                            g=(ball_constraint(2, 1.0),))

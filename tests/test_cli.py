@@ -60,6 +60,20 @@ class TestSolveCommand:
         prob = read_problem(sdp)
         assert prob.nrows > 0
 
+    @pytest.mark.parametrize("term", [{"coefficient": float("nan"), "exponents": [1, 0]},
+                                      {"coefficient": 1.0, "exponents": [-1, 0]}],
+                             ids=["nan", "negative-exponent"])
+    def test_bad_polynomial_term_is_a_parse_error(self, quad_file, tmp_path, term, capsys):
+        # both used to pass the record parser: a NaN emptied the polynomial,
+        # a negative exponent raised a bare ValueError with a traceback
+        doc = json.loads(open(quad_file).read())
+        doc["objective"].append(term)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("solve", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_solver_failure_exit_code(self, quad_file, capsys):
         assert run_cli("solve", quad_file, "--max-iter", "1") == 3
 
@@ -179,6 +193,22 @@ class TestCertifyVerify:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert run_cli("verify", str(bad)) == 2
+
+    def test_nonfinite_numbers(self, quad_file, tmp_path, capsys):
+        # JSON readers take NaN and Infinity; neither may pass as a number
+        cert = tmp_path / "cert.json"
+        assert run_cli("certify", quad_file, "--out", str(cert)) == 0
+        doc = json.loads(cert.read_text())
+        for gamma in (float("nan"), float("inf")):
+            cert.write_text(json.dumps(dict(doc, gamma=gamma)))
+            assert run_cli("verify", str(cert)) == 4
+        assert "certificate FAIL" in capsys.readouterr().out
+        # a phi or instance coefficient is read into a polynomial, which
+        # cannot hold it: the file is malformed
+        doc["phi"] = [[{"coefficient": float("nan"), "exponents": [1, 0]}]]
+        cert.write_text(json.dumps(doc))
+        assert run_cli("verify", str(cert)) == 2
+        assert "not finite" in capsys.readouterr().err
 
 
 class TestEnsembleCommand:

@@ -67,6 +67,20 @@ class TestDriver:
             assert rec.flat is None or not rec.flat.is_flat
         assert run.final_value == pytest.approx(0.0, abs=1e-6)
 
+    def test_max_iter_below_one_raises_before_any_build(self, monkeypatch):
+        import polyopt.hierarchy as hierarchy_module
+
+        builds = []
+        build = hierarchy_module.build_sos_relaxation
+        monkeypatch.setattr(hierarchy_module, "build_sos_relaxation",
+                            lambda inst, k: builds.append(k) or build(inst, k))
+        inst = gallery_instance("quadratic-ball")
+        with pytest.raises(ValueError, match="max_iter"):
+            run_hierarchy(inst, solver_options=SolverOptions(max_iter=0))
+        assert builds == []
+        run_hierarchy(inst, k_max=1, solver_options=SolverOptions(max_iter=1))
+        assert builds == [1]
+
     def test_solver_failure_recorded_and_continues(self):
         inst = gallery_instance("quadratic-ball")
         run = run_hierarchy(inst, k_max=3,

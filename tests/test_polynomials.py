@@ -166,6 +166,14 @@ class TestArithmetic:
         p = Polynomial(1, {(0,): 1.0, (1,): 1e-16})
         assert p == Polynomial.constant(1, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coefficient_raises(self, bad):
+        # a NaN used to make every dust test false, so every term was dropped
+        with pytest.raises(ValueError, match="not finite"):
+            Polynomial(1, {(0,): bad, (1,): 1.0})
+        with pytest.raises(ValueError, match="not finite"):
+            Polynomial(1, {(1,): 1e300}) * Polynomial(1, {(0,): 1e300})
+
 
 class TestBasis:
     def test_count_n3_d3(self):
@@ -218,3 +226,5 @@ class TestText:
             Polynomial.from_text("1.0 * x7", 2)
         with pytest.raises(ParseError):
             Polynomial.from_text("1.0 * y1", 2)
+        with pytest.raises(ParseError):
+            Polynomial.from_text("nan * x1 + 1.0", 2)

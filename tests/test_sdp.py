@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -160,10 +161,17 @@ class TestDual:
             c_blocks=[np.array([[1.0, 0.3], [0.3, -0.5]]), np.array([[-0.2]])])
         dual = prob.dual().validate()
         assert (dual.nrows, dual.nfree, dual.block_sizes) == (5, 2, [2, 1])
-        primal_sol, dual_sol = solve(prob), solve(dual)
-        assert primal_sol.status == dual_sol.status == "optimal"
+        assert dual.dual_of is prob
+        primal_sol = solve(prob)
         scale = abs(primal_sol.primal_objective)
-        assert abs(primal_sol.primal_objective + dual_sol.primal_objective) <= 1e-7 * scale
+        # answered from prob, and solved on its own with the link dropped
+        routed, direct = solve(dual), solve(dataclasses.replace(dual, dual_of=None))
+        assert routed.notes[:1] == ["solved as the dual of its source problem"]
+        assert routed.iterations == primal_sol.iterations
+        assert all("solved as the dual" not in note for note in direct.notes)
+        for dual_sol in (routed, direct):
+            assert primal_sol.status == dual_sol.status == "optimal"
+            assert abs(primal_sol.primal_objective + dual_sol.primal_objective) <= 1e-7 * scale
 
 
 class TestCoeffBlock:

@@ -16,6 +16,7 @@ from polyopt import PopInstance, Polynomial, ball_constraint, build_moment_relax
     build_sos_relaxation
 from polyopt import solver as solver_module
 from polyopt.certify import extract_certificate, extract_dual_moments, verify_certificate
+from polyopt.ensemble import random_instance
 from polyopt.errors import DegenerateDualError
 from polyopt.gallery import gallery_instance
 from polyopt.polynomials import basis
@@ -299,21 +300,31 @@ class TestKernels:
         it = random_iterate(prob, np.random.default_rng(37))
         assert np.array_equal(_schur(data, it.x, it.z), _schur(whole, it.x, it.z))
 
-    def test_schur_memory_is_bounded_by_the_chunks(self):
+    def test_schur_memory_is_bounded_by_the_chunks(self, monkeypatch):
         # whole-block U, T and the copy of T^T would take 25.7 MB each at
         # the 84 block; M itself is 1.6 MB
         import tracemalloc
 
         prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 6)
-        data, _ = _start(prob, SolverOptions())
         it = random_iterate(prob, np.random.default_rng(41))
-        tracemalloc.start()
-        try:
-            _schur(data, it.x, it.z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        mbytes = 8 * prob.nrows ** 2
+
+        def traced_peak():
+            data, _ = _start(prob, SolverOptions())
+            tracemalloc.start()
+            try:
+                _schur(data, it.x, it.z)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak = traced_peak()
         assert peak < 10 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+        # at 64 KiB chunks, M is 24 chunk budgets: a second M, as the
+        # symmetrization (M + M^T) / 2 makes, would not fit
+        monkeypatch.setattr(solver_module, "_CHUNK_BYTES", 1 << 16)
+        peak = traced_peak()
+        assert peak < mbytes + 12 * (1 << 16), f"traced peak {peak / 2 ** 20:.2f} MB"
 
     @pytest.mark.parametrize("case", ["motzkin-sos-4", "corpus-5-moment-3"])
     def test_factored_solve_meets_free_rows(self, case):
@@ -385,6 +396,7 @@ class TestKernels:
 # on the BLAS reduction order, so each is solved under both 1 and 2 OpenBLAS
 # threads.
 HARD_LEVELS_SCRIPT = """
+import dataclasses
 import json
 from polyopt import build_moment_relaxation, build_sos_relaxation, solve
 from corpus import corpus_instances, stress_instance
@@ -393,7 +405,10 @@ corpus = dict(corpus_instances(spawn_key=1))
 cases = [("corpus i=8", build_sos_relaxation(corpus[8], 4))]
 cases += [(f"stress key={key}", build_sos_relaxation(stress_instance(key), 4))
           for key in (105, 109, 115)]
-cases += [(f"corpus i={i} moment", build_moment_relaxation(corpus[i], corpus[i].min_level() + 1))
+# without the link to their SOS source, so that the moment form's own KKT
+# solves run
+cases += [(f"corpus i={i} moment", dataclasses.replace(
+    build_moment_relaxation(corpus[i], corpus[i].min_level() + 1), dual_of=None))
           for i in (5, 29)]
 out = []
 for name, prob in cases:
@@ -411,10 +426,15 @@ FREE_COLUMN_LEVELS = (4, 5, 7, 8, 16, 26, 29)
 
 
 class TestFreeColumns:
+    """The moment form's own free-column KKT path: each problem is solved
+    with its link to the SOS source removed, which ``solve`` would
+    otherwise answer from."""
+
     @pytest.mark.parametrize("index", FREE_COLUMN_LEVELS)
     def test_moment_corpus_level_optimal(self, index):
         inst = dict(corpus_instances(spawn_key=1, count=index + 1))[index]
-        sol = solve(build_moment_relaxation(inst, inst.min_level() + 1))
+        prob = build_moment_relaxation(inst, inst.min_level() + 1)
+        sol = solve(dataclasses.replace(prob, dual_of=None))
         assert sol.status == "optimal", (sol.residuals, sol.notes)
         assert max(sol.residuals.values()) <= 1e-8, sol.residuals
 
@@ -430,11 +450,106 @@ class TestFreeColumns:
             prob = build_moment_relaxation(gallery_instance("quadratic-ball"), 2)
             row = int(np.flatnonzero(~np.isin(np.arange(prob.nrows),
                                               np.concatenate([b.rows for b in prob.a_blocks])))[0])
-        base = solve(prob)
+        base = solve(dataclasses.replace(prob, dual_of=None))
         sol = solve(with_row_repeated(prob, row))
         assert base.status == sol.status == "optimal", (sol.residuals, sol.notes)
         assert abs(sol.primal_objective - base.primal_objective) <= \
             1e-8 * (1.0 + abs(base.primal_objective))
+
+
+def assert_identical(got, want):
+    """Two solutions agree in every field, the arrays bit for bit."""
+    assert (got.status, got.iterations, got.notes) == (want.status, want.iterations, want.notes)
+    assert (got.residuals, got.trace) == (want.residuals, want.trace)
+    assert (got.primal_objective, got.dual_objective) == \
+        (want.primal_objective, want.dual_objective)
+    for name in ("x_blocks", "z_blocks"):
+        assert len(getattr(got, name)) == len(getattr(want, name))
+    for a, b in zip([got.free_values, got.dual_vector, *got.x_blocks, *got.z_blocks],
+                    [want.free_values, want.dual_vector, *want.x_blocks, *want.z_blocks]):
+        assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+            np.ascontiguousarray(b).tobytes()
+
+
+def moment_levels():
+    """(name, problem) for the moment form of Motzkin levels 3-5, the corpus
+    (spawn key 1) at levels min and min + 1, and the equality ensemble of
+    ``tests/solve_hashes.py`` at levels 1 and 2."""
+    motzkin = gallery_instance("motzkin-ball")
+    for k in (3, 4, 5):
+        yield f"motzkin-{k}", build_moment_relaxation(motzkin, k)
+    for i, inst in corpus_instances(spawn_key=1):
+        for k in (inst.min_level(), inst.min_level() + 1):
+            yield f"corpus-{i}-{k}", build_moment_relaxation(inst, k)
+    for i in range(60):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(i,)))
+        inst = random_instance(2, 2, rng, n_equalities=1)
+        for k in (1, 2):
+            yield f"equality-{i}-{k}", build_moment_relaxation(inst, k)
+
+
+class TestAnsweredFromTheSource:
+    """``solve`` answers a ``dual()``-built problem from the problem it is
+    the dual of when that run ends ``optimal``, and runs it directly
+    otherwise."""
+
+    @pytest.mark.parametrize("case", ["quadratic-ball-2", "corpus-5-3"])
+    def test_moment_solve_is_the_sos_solve_transposed(self, case):
+        inst, k = {"quadratic-ball-2": (gallery_instance("quadratic-ball"), 2),
+                   "corpus-5-3": (dict(corpus_instances(spawn_key=1, count=6))[5], 3)}[case]
+        src = solve(build_sos_relaxation(inst, k))
+        sol = solve(build_moment_relaxation(inst, k))
+        assert src.status == "optimal"
+        # the rows of dual() hold Z[p, q] = <E_pq, Z> with E_pq half of each
+        # off-diagonal entry, so X's off-diagonal multipliers are doubled
+        upper = []
+        for x in src.x_blocks:
+            p, q = np.triu_indices(len(x))
+            upper.append(np.where(p == q, 1.0, 2.0) * x[p, q])
+        swap = {"primal": "dual", "dual": "primal", "err_primal": "err_dual",
+                "err_dual": "err_primal", "alpha_p": "alpha_d", "alpha_d": "alpha_p"}
+        trace = [{swap.get(key, key): -val if key in ("primal", "dual") else val
+                  for key, val in row.items()} for row in src.trace]
+        want = dataclasses.replace(
+            src, x_blocks=src.z_blocks, z_blocks=src.x_blocks, free_values=src.dual_vector,
+            dual_vector=np.concatenate([-src.free_values, *upper]),
+            primal_objective=-src.dual_objective, dual_objective=-src.primal_objective,
+            residuals={"primal": src.residuals["dual"], "dual": src.residuals["primal"],
+                       "gap": src.residuals["gap"]},
+            trace=trace, notes=[f"solved as the dual of sos-level-{k}", *src.notes])
+        assert_identical(sol, want)
+
+    def test_answers_meet_the_tolerances_on_the_moment_problem(self):
+        # re-measured with the moment problem's own residuals and scales;
+        # every free column is kept, the dependent ones included
+        opts = SolverOptions()
+        routed = 0
+        for name, prob in moment_levels():
+            sol = solve(prob)
+            if sol.notes[:1] != [f"solved as the dual of {prob.dual_of.name}"]:
+                continue
+            routed += 1
+            data, _ = _start(prob, opts)
+            data = dataclasses.replace(data, bmat=prob.b_free, c_free=prob.c_free)
+            it = _Iterate(sol.x_blocks, sol.z_blocks, None, None, sol.free_values,
+                          sol.dual_vector)
+            _measure(data, it)
+            assert sol.status == "optimal" and it.meets(opts), \
+                (name, it.err_p, it.err_d, it.rel_gap)
+        assert routed > 0
+
+    def test_non_optimal_source_falls_back_to_the_direct_run(self):
+        prob = build_moment_relaxation(gallery_instance("equality-quadratic"), 2)
+        assert solve(prob.dual_of).status == "near_optimal"
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert_identical(sol, solve(dataclasses.replace(prob, dual_of=None)))
+
+    def test_motzkin_moment_level_5_ends_within_40_iterations(self):
+        # run on its own KKT system (2,227 rows, 286 free columns) it stalls
+        # near_optimal for all 200 iterations
+        sol = solve(build_moment_relaxation(gallery_instance("motzkin-ball"), 5))
+        assert sol.status == "optimal" and sol.iterations <= 40, (sol.iterations, sol.notes)
 
 
 def ratpoly_defect(cert, inst):
