@@ -131,6 +131,8 @@ def cmd_hierarchy(args) -> int:
 def cmd_check_local(args) -> int:
     inst = _load_instance(args)
     point = _parse_point(args.point)
+    if point.shape != (inst.nvars,):
+        raise ParseError(f"point has shape {point.shape}, expected ({inst.nvars},)")
     report = audit_point(inst, point, tol=args.tol_active)
     verdict = {True: "yes", False: "no", None: "inconclusive"}
     text = [
@@ -196,7 +198,8 @@ def cmd_random_ensemble(args) -> int:
     for flag, value, least in (("--nvars", args.nvars, 1), ("--degree", args.degree, 0),
                                ("--count", args.count, 0), ("--seed", args.seed, 0),
                                ("--equalities", args.equalities, 0),
-                               ("--level-budget", args.level_budget, 0)):
+                               ("--level-budget", args.level_budget, 0),
+                               ("--workers", args.workers, 1)):
         if value < least:
             raise ParseError(f"{flag} must be at least {least}, got {value}")
     if args.equalities > args.nvars:

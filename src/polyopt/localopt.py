@@ -92,10 +92,12 @@ class LocalReport:
 def active_set(inst: PopInstance, point, tol: float = ACTIVE_TOL) -> ActiveSet:
     """Active inequality indices {j : |g_j(u)| <= tol * scale_j}.
 
-    Raises FeasibilityError when the point is infeasible beyond the same
-    relative band.
+    Raises FeasibilityError when the point is not finite or is infeasible
+    beyond the same relative band.
     """
     u = np.asarray(point, dtype=float)
+    if not np.isfinite(u).all():   # no comparison below would flag a NaN
+        raise FeasibilityError(f"point is not finite: {u.tolist()}")
     worst = (0.0, None)
     for i, p in enumerate(inst.h):
         band = tol * (1.0 + p.eval_abs(u))

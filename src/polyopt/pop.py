@@ -62,7 +62,10 @@ class PopInstance:
         return eq, ineq
 
     def is_feasible(self, point, tol: float = 1e-8) -> bool:
+        """Whether the point is finite and meets every constraint to ``tol``."""
         u = np.asarray(point, dtype=float)
+        if not np.isfinite(u).all():
+            return False
         for p in self.h:
             if abs(p.eval(u)) > tol * (1.0 + p.eval_abs(u)):
                 return False

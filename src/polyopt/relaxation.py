@@ -69,7 +69,6 @@ class MomentLayout:
     level: int
     nvars: int
     free_monomials: tuple
-    block_bases: list
 
 
 def _check_level(inst: PopInstance, k: int) -> None:
@@ -119,10 +118,6 @@ def build_sos_relaxation(inst: PopInstance, k: int) -> SdpProblem:
                     t_rows.append(m)
                     t_cols.append(p * size + q)
                     t_vals.append(coeff)
-                    if p != q:
-                        t_rows.append(m)
-                        t_cols.append(q * size + p)
-                        t_vals.append(coeff)
         a_blocks.append(CoeffBlock(nrows, size, t_rows, t_cols, t_vals))
 
     phi_slices = []
@@ -172,8 +167,7 @@ def build_moment_relaxation(inst: PopInstance, k: int) -> SdpProblem:
     prob.name = f"moment-level-{k}"
     prob.layout = MomentLayout(
         kind="moment", level=k, nvars=sos.layout.nvars,
-        free_monomials=sos.layout.row_monomials,
-        block_bases=sos.layout.block_bases)
+        free_monomials=sos.layout.row_monomials)
     return prob
 
 

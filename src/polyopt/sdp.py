@@ -15,12 +15,13 @@ The result keeps the problem it was made from in ``dual_of``, which
 ``solver.solve`` uses to answer it from one run on that, usually smaller,
 problem.
 
-The coefficient matrices of a relaxation are well under 2% nonzero, so each
-block's A_{j,0..nrows-1} is stored as a ``CoeffBlock``: triplets (row m, flat
-index p*s + q, value) holding both triangles, sorted by (m, p, q), in O(nnz)
-memory.  ``SdpProblem`` also accepts a dense (nrows, s, s) cube per block and
-stores it the same way; ``SdpProblem.to_dense()`` gives the cubes back.  B,
-C and the right-hand side are held dense.
+The coefficient matrices of a relaxation are symmetric and well under 2%
+nonzero, so each block's A_{j,0..nrows-1} is stored as a ``CoeffBlock``:
+triplets (row m, flat index p*s + q, value) of the upper triangles p <= q,
+sorted by (m, p, q), in O(nnz) memory.  ``SdpProblem`` also accepts a
+symmetric dense (nrows, s, s) cube per block and stores it the same way;
+``SdpProblem.to_dense()`` gives the cubes back.  B, C and the right-hand
+side are held dense.
 
 Text serialization is line oriented and sparse (0-based indices, repr floats
 so the round trip is exact).  Coefficient matrices are symmetric and only the
@@ -39,7 +40,7 @@ upper triangle is stored::
     B <m> <i> <value>           # row m, free variable i
     END
 
-Repeated A records of one entry add up.
+An A record (p, q) with p > q stands for (q, p); repeated records add up.
 """
 
 from __future__ import annotations
@@ -55,12 +56,13 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class CoeffBlock:
-    """The coefficient matrices A_{j,0..nrows-1} of one s x s block as triplets.
+    """The symmetric coefficient matrices A_{j,0..nrows-1} of one s x s block
+    as triplets of their upper triangles.
 
-    Entry (p, q) of A_{j,m} is held at row m, flat index p*s + q.  Both
-    triangles are held, so the triplets are the nonzeros of the
-    (nrows, s*s) matrix whose row m is A_{j,m} flattened.  Construction sorts
-    them by (m, p, q) and adds up repeated entries.
+    Entry (p, q), p <= q, of A_{j,m} is held at row m, flat index p*s + q;
+    entry (q, p) is the same value and is not held.  Construction sorts the
+    triplets by (m, p, q), adds up repeated entries and rejects an entry
+    below the diagonal.
     """
 
     nrows: int
@@ -89,17 +91,22 @@ class CoeffBlock:
                 first = np.flatnonzero(np.concatenate(([True], ~repeated)))
                 key, vals = key[first], np.add.reduceat(vals, first)
             rows, cols = np.divmod(key, ss)
+        if len(cols) and (cols // size > cols % size).any():
+            raise ValueError("coefficient triplet below the diagonal: only p <= q is held")
         for name, value in zip(("nrows", "size", "rows", "cols", "vals"),
                                (nrows, size, rows, cols, vals)):
             object.__setattr__(self, name, value)
 
     @staticmethod
     def from_dense(a) -> "CoeffBlock":
-        """The triplets of a dense (nrows, s, s) cube."""
+        """The upper-triangle triplets of a symmetric dense (nrows, s, s) cube."""
         a = np.asarray(a, dtype=float)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise ValueError(f"coefficient cube has shape {a.shape}, expected (nrows, s, s)")
-        flat = a.reshape(a.shape[0], -1)
+        scale = np.abs(a).max(initial=0.0)
+        if np.abs(a - a.transpose(0, 2, 1)).max(initial=0.0) > SYMMETRY_TOL * (1.0 + scale):
+            raise ValueError("coefficient cube contains asymmetric coefficient matrices")
+        flat = np.triu(a).reshape(a.shape[0], -1)
         rows, cols = np.nonzero(flat)
         return CoeffBlock(a.shape[0], a.shape[1], rows, cols, flat[rows, cols])
 
@@ -107,23 +114,23 @@ class CoeffBlock:
     def nbytes(self) -> int:
         return self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
 
+    def both_triangles(self):
+        """(rows, cols, vals) of both triangles, sorted by (m, p, q): the
+        nonzeros of the (nrows, s*s) matrix whose row m is A_m flattened."""
+        p, q = np.divmod(self.cols, self.size)
+        off = p != q
+        rows = np.concatenate([self.rows, self.rows[off]])
+        cols = np.concatenate([self.cols, q[off] * self.size + p[off]])
+        vals = np.concatenate([self.vals, self.vals[off]])
+        order = np.argsort(rows * (self.size * self.size) + cols)
+        return rows[order], cols[order], vals[order]
+
     def to_dense(self) -> np.ndarray:
         """The (nrows, s, s) cube."""
+        rows, cols, vals = self.both_triangles()
         a = np.zeros((self.nrows, self.size * self.size))
-        a[self.rows, self.cols] = self.vals
+        a[rows, cols] = vals
         return a.reshape(self.nrows, self.size, self.size)
-
-    def asymmetry(self) -> float:
-        """max |A_m[p, q] - A_m[q, p]| over the held entries, in O(nnz log nnz):
-        each triplet is paired with the one at its transposed index."""
-        if not len(self.vals):
-            return 0.0
-        p, q = np.divmod(self.cols, self.size)
-        key = self.rows * (self.size * self.size) + self.cols
-        tkey = key + (q - p) * (self.size - 1)   # (m, q, p)
-        pos = np.minimum(np.searchsorted(key, tkey), len(key) - 1)
-        partner = np.where(key[pos] == tkey, self.vals[pos], 0.0)
-        return float(np.abs(self.vals - partner).max())
 
 
 @dataclass
@@ -181,20 +188,14 @@ class SdpProblem:
         a_blocks, b_rows, rhs, first = [], [self.b_free.T], [self.c_free], self.nfree
         for a, c, s in zip(self.a_blocks, self.c_blocks, self.block_sizes):
             p, q = np.triu_indices(s)
-            # Z[p,q] = <E_pq, Z>: E_pq is 1 at (p,p), else 1/2 at (p,q) and (q,p);
-            # kept pairwise, the triplets come out sorted
-            keep = np.column_stack([np.ones(len(p), bool), p != q]).ravel()
-            a_blocks.append(CoeffBlock(
-                nrows, s, np.repeat(np.arange(first, first + len(p)), 2)[keep],
-                np.column_stack([p * s + q, q * s + p]).ravel()[keep],
-                np.repeat(np.where(p == q, 1.0, 0.5), 2)[keep]))
-            # -A_j*(v)[p,q] from the upper triplets; (p, q) is the block's
-            # row p (2s - p - 1)/2 + q in triu_indices order
+            # Z[p,q] = <E_pq, Z>: E_pq is 1 at (p,p), else 1/2 at (p,q) and (q,p)
+            a_blocks.append(CoeffBlock(nrows, s, np.arange(first, first + len(p)), p * s + q,
+                                       np.where(p == q, 1.0, 0.5)))
+            # -A_j*(v)[p,q]; (p, q) is the block's row p (2s - p - 1)/2 + q
+            # in triu_indices order
             ap, aq = np.divmod(a.cols, s)
-            up = ap <= aq
-            ap, aq = ap[up], aq[up]
             block_b = np.zeros((len(p), self.nrows))
-            block_b[ap * (2 * s - ap - 1) // 2 + aq, a.rows[up]] = -a.vals[up]
+            block_b[ap * (2 * s - ap - 1) // 2 + aq, a.rows] = -a.vals
             b_rows.append(block_b)
             rhs.append(0.0 - c[p, q])   # 0.0 - x: a zero stays +0.0
             first += len(p)
@@ -203,7 +204,7 @@ class SdpProblem:
             rhs=np.concatenate(rhs), c_free=0.0 - self.rhs, dual_of=self)
 
     def validate(self):
-        """Raise ValueError on inconsistent dimensions or asymmetric coefficients."""
+        """Raise ValueError on inconsistent dimensions or an asymmetric C block."""
         if self.nrows < 1:
             raise ValueError("problem needs at least one equality row")
         if len(self.a_blocks) != self.nblocks or len(self.c_blocks) != self.nblocks:
@@ -221,9 +222,6 @@ class SdpProblem:
             if len(a.vals) and (a.rows[0] < 0 or a.rows[-1] >= self.nrows
                                 or a.cols.min() < 0 or a.cols.max() >= s * s):
                 raise ValueError(f"a_blocks[{j}] has an entry outside its matrices")
-            scale = np.abs(a.vals).max(initial=0.0)
-            if a.asymmetry() > SYMMETRY_TOL * (1.0 + scale):
-                raise ValueError(f"a_blocks[{j}] contains asymmetric coefficient matrices")
             c = self.c_blocks[j]
             if c.shape != (s, s):
                 raise ValueError(f"c_blocks[{j}] has shape {c.shape}, expected {(s, s)}")
@@ -246,9 +244,9 @@ class SdpProblem:
             lines += [f"objb {j} {p} {q} {v!r}" for p, q, v in _nonzeros(np.triu(c))]
         lines += [f"rhs {m} {v!r}" for m, v in _nonzeros(self.rhs)]
         for j, a in enumerate(self.a_blocks):
-            # triplets sorted by (m, p, q): the upper ones are in record order
+            # triplets sorted by (m, p, q) are in record order
             p, q = np.divmod(a.cols, a.size)
-            keep = (p <= q) & (a.vals != 0.0)
+            keep = a.vals != 0.0
             lines += [f"A {m} {j} {pp} {qq} {v!r}" for m, pp, qq, v in zip(
                 a.rows[keep].tolist(), p[keep].tolist(), q[keep].tolist(), a.vals[keep].tolist())]
         lines += [f"B {m} {i} {v!r}" for m, i, v in _nonzeros(self.b_free)]
@@ -328,11 +326,8 @@ class SdpProblem:
             if len(m) and (rec[:, :3].min() < 0 or m.max() >= nrows
                            or max(p.max(), q.max()) >= s):
                 raise ParseError(f"A record of block {j} indexes outside its matrices")
-            off = p != q
-            a_blocks.append(CoeffBlock(
-                nrows, s, np.concatenate([m, m[off]]),
-                np.concatenate([p * s + q, q[off] * s + p[off]]),
-                np.concatenate([value, value[off]])))
+            lo, hi = np.minimum(p, q), np.maximum(p, q)
+            a_blocks.append(CoeffBlock(nrows, s, m, lo * s + hi, value))
         return SdpProblem(
             block_sizes=sizes, a_blocks=a_blocks, b_free=b_free, rhs=rhs,
             c_free=c_free, c_blocks=c_blocks, name=name)

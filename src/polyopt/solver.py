@@ -19,13 +19,14 @@ for the same reason (Henrion, Lasserre and Lofberg, Optim. Methods Softw.
 problem itself, so routing never makes a status worse.
 
 X, Z, B and the Schur complement are dense; the coefficients A are not.
-``_start`` turns each block's triplets into three operators built once per
-solve: A as an (nrows, s*s) matrix, its transpose, and the matrices
-A_0..A_{nrows-1} stacked into an (nrows*s, s) one, cut into row chunks.  A
-block is held as a dense ndarray when nrows*s*s is below ``_DENSE_BELOW``
-(there scipy's per-call cost outweighs the zeros it skips) and as CSR
-otherwise.  The phases use only ``@``, ``.T`` and ``.reshape`` on them, so
-one ``_apply_A``, one ``_apply_At`` and one ``_schur`` serve both kinds.
+``_start`` mirrors each block's upper-triangle triplets once per solve
+(``CoeffBlock.both_triangles``) and turns them into three operators: A as
+an (nrows, s*s) matrix, its transpose, and the matrices A_0..A_{nrows-1}
+stacked into an (nrows*s, s) one, cut into row chunks.  A block is held as
+a dense ndarray when nrows*s*s is below ``_DENSE_BELOW`` (there scipy's
+per-call cost outweighs the zeros it skips) and as CSR otherwise.  The
+phases use only ``@``, ``.T`` and ``.reshape`` on them, so one
+``_apply_A``, one ``_apply_At`` and one ``_schur`` serve both kinds.
 ``_schur`` forms M_mn = <A_m, (X A_n) Z^{-1}> one chunk of rows n at a
 time, as U_n = A_n X through the chunk of the stacked operator,
 T_n = U_n^T Z^{-1} as one batched dense product, and M[:, chunk] += A T^T:
@@ -118,7 +119,7 @@ from scipy.linalg import qr, solve_triangular
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs, dtrtrs
 from scipy.sparse import csr_array
 
-from .sdp import CoeffBlock, SdpProblem
+from .sdp import SdpProblem
 
 STATUS_OPTIMAL = "optimal"
 STATUS_NEAR_OPTIMAL = "near_optimal"
@@ -295,29 +296,29 @@ def _pd_step(blocks, deltas, chols):
     return alpha, None, None
 
 
-def _operators(blk: CoeffBlock):
-    """(A, A^T, stack chunks) of one block.  A and A^T are (nrows, s*s) and
-    (s*s, nrows); the chunks are ``(lo, hi, rows)`` with ``rows`` the
-    ((hi - lo)*s, s) slice of A_0..A_{nrows-1} stacked that holds A_lo..A_{hi-1}:
-    as many matrices as keep U and T of a chunk within ``_CHUNK_BYTES`` in
-    ``_schur``, so a block under that budget is one chunk.  All are views of
-    one dense array when the block is small enough that scipy's per-call
-    cost would outweigh the zeros, else A and the stack are CSR and A^T is
-    ``a.T``, the CSC view over A's arrays."""
-    nrows, s = blk.nrows, blk.size
+def _operators(nrows: int, s: int, rows, cols, vals):
+    """(A, A^T, stack chunks) of one block from both triangles' triplets.
+    A and A^T are (nrows, s*s) and (s*s, nrows); the chunks are
+    ``(lo, hi, rows)`` with ``rows`` the ((hi - lo)*s, s) slice of
+    A_0..A_{nrows-1} stacked that holds A_lo..A_{hi-1}: as many matrices as
+    keep U and T of a chunk within ``_CHUNK_BYTES`` in ``_schur``, so a
+    block under that budget is one chunk.  All are views of one dense array
+    when the block is small enough that scipy's per-call cost would outweigh
+    the zeros, else A and the stack are CSR and A^T is ``a.T``, the CSC view
+    over A's arrays."""
     if nrows * s * s < _DENSE_BELOW:
         a = np.zeros((nrows, s * s))
-        a[blk.rows, blk.cols] = blk.vals
+        a[rows, cols] = vals
         stack = a.reshape(nrows * s, s)
     else:
         indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(blk.rows, minlength=nrows), out=indptr[1:])
-        a = csr_array((blk.vals, blk.cols, indptr), shape=(nrows, s * s))
+        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+        a = csr_array((vals, cols, indptr), shape=(nrows, s * s))
         # row (m, p) of the stack holds row p of A_m; the triplet order is kept
-        stack_rows = blk.rows * s + blk.cols // s
+        stack_rows = rows * s + cols // s
         indptr = np.zeros(nrows * s + 1, dtype=np.int64)
         np.cumsum(np.bincount(stack_rows, minlength=nrows * s), out=indptr[1:])
-        stack = csr_array((blk.vals, blk.cols % s, indptr), shape=(nrows * s, s))
+        stack = csr_array((vals, cols % s, indptr), shape=(nrows * s, s))
     step = max(1, _CHUNK_BYTES // (8 * s * s))
     bounds = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
     return a, a.T, [(lo, hi, stack[lo * s:hi * s]) for lo, hi in bounds]
@@ -354,13 +355,14 @@ def _start(prob: SdpProblem, opts: SolverOptions):
     make S = B^T K^{-1} B exactly singular, so only a column-independent
     subset of B is kept; ``solve`` reports the dropped free values as 0."""
     sizes = prob.block_sizes
-    a_ops, a_ts, a_stacks = zip(*(_operators(blk) for blk in prob.a_blocks))
+    full = [blk.both_triangles() for blk in prob.a_blocks]
+    a_ops, a_ts, a_stacks = zip(*(_operators(prob.nrows, s, *t) for s, t in zip(sizes, full)))
     b, bmat, c_free = prob.rhs, prob.b_free, prob.c_free
     free_cols, null_moves_c = _independent_columns(bmat, c_free)
     if free_cols is not None:
         bmat, c_free = bmat[:, free_cols], c_free[free_cols]
-    anorm = np.sqrt(sum(np.bincount(blk.rows, weights=blk.vals ** 2, minlength=prob.nrows)
-                        for blk in prob.a_blocks) + (bmat ** 2).sum(axis=1))
+    anorm = np.sqrt(sum(np.bincount(rows, weights=vals ** 2, minlength=prob.nrows)
+                        for rows, _, vals in full) + (bmat ** 2).sum(axis=1))
     rho_p = max(10.0, np.sqrt(max(sizes)),
                 max(sizes) * float(np.max((1.0 + np.abs(b)) / (1.0 + anorm))))
     cnorm = max((float(np.linalg.norm(c)) for c in prob.c_blocks), default=0.0)

@@ -1,6 +1,6 @@
 """One SHA-256 per solve over a fixed set of 974 SDP solves, to check that a
-change to the solver, the builders or ``certify`` leaves every solve and its
-post-solve artifacts bit-identical.
+change to the solver, the builders, the SDP data model or ``certify`` leaves
+every built problem, every solve and its post-solve artifacts bit-identical.
 
     PYTHONPATH=src python3 tests/solve_hashes.py --out before.txt
     PYTHONPATH=src python3 tests/solve_hashes.py --compare before.txt
@@ -12,8 +12,10 @@ every X and Z block, all at full precision.  Each SOS-form solve also gets a
 matrix M_k(y) of ``extract_dual_moments`` at the solved level k,
 ``flat_truncation(...).to_dict()`` and ``certificate_to_dict`` of
 ``extract_certificate`` without the ``squares`` of each block, whose last
-bits depend on the eigensolver's order of work.  A step that raises is
-hashed as its error message.  The solves are:
+bits depend on the eigensolver's order of work.  Each solved problem also
+gets a ``<solve>-problem`` hash of its ``to_text()`` export, so a change to
+how the coefficients are stored shows whether the text stays byte-identical.
+A step that raises is hashed as its error message.  The solves are:
 
 * gallery ``motzkin-ball``, SOS form, levels 3-6 (4 solves);
 * the ``ensemble-small`` benchmark recipe at seed 101 (200 random quadratics
@@ -29,16 +31,17 @@ hashed as its error message.  The solves are:
 of (``SdpProblem.dual_of``).  So each of the 180 moment-form problems is
 hashed twice: under ``<name>`` as solved with that link removed, which runs
 the moment form's own KKT system, and under ``<name>-routed`` as ``solve``
-returns it.
+returns it.  That makes 974 solve, 974 problem and 614 artifact hashes.
 
 BLAS is pinned to one thread, since the reduction order of more threads
 changes the rounding.  ``polyopt`` is imported from ``PYTHONPATH``, so
 pointing it at another checkout's ``src`` hashes that checkout's solver with
 the same problems.  The file has one ``name hash status iterations`` line
-per solve and one ``name hash`` line per artifact hash.  With ``--compare
-FILE`` the script names every hash that differs from (or is missing in)
-FILE, prints how a differing solve moved (status and iterations, FILE's
-then this run's), and exits with status 1 if any hash differs.
+per solve and one ``name hash`` line per problem or artifact hash.  With
+``--compare FILE`` the script names every hash that differs from (or is
+missing in) FILE, prints how a differing solve moved (status and
+iterations, FILE's then this run's), and exits with status 1 if any hash
+differs.
 """
 
 import os
@@ -134,11 +137,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the hashes to this file")
     parser.add_argument("--compare", help="name the solves whose hashes differ from this file's")
     args = parser.parse_args(argv)
-    hashes = {}   # name -> [hash, status, iterations] for a solve, [hash] for artifacts
+    hashes = {}   # name -> [hash, status, iterations] for a solve, [hash] for the others
     iterations = 0
     for name, inst, prob in problems():
         sol = solve(prob)
         hashes[name] = [solve_hash(sol), sol.status, str(sol.iterations)]
+        hashes[f"{name}-problem"] = [hashlib.sha256(prob.to_text().encode()).hexdigest()]
         iterations += sol.iterations
         if prob.layout.kind == "sos":
             hashes[f"{name}-artifacts"] = [artifacts_hash(inst, prob, sol)]

@@ -164,6 +164,14 @@ class TestCheckLocalCommand:
     def test_bad_point(self, quad_file, capsys):
         assert run_cli("check-local", quad_file, "--point", "abc") == 2
 
+    @pytest.mark.parametrize("point", ["nan,0", "0,0,0", "[[0, 0]]"])
+    def test_point_rejected_as_input_error(self, quad_file, point, capsys):
+        # no constraint comparison flags a NaN; a point of the wrong shape is
+        # an input error, not a solver failure (exit 3): no solver runs
+        assert run_cli("check-local", quad_file, "--point", point) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: point ")
+
 
 class TestCertifyVerify:
     def test_certify_then_verify(self, quad_file, tmp_path, capsys):
@@ -231,7 +239,8 @@ class TestEnsembleCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--nvars", "0"], ["--degree", "-1"], ["--level-budget", "-3"], ["--count", "-1"],
-        ["--seed", "-1"], ["--equalities", "-1"], ["--equalities", "2", "--nvars", "1"]])
+        ["--seed", "-1"], ["--equalities", "-1"], ["--equalities", "2", "--nvars", "1"],
+        ["--workers", "0"], ["--workers", "-3"]])
     def test_bad_arguments(self, argv, capsys):
         assert run_cli("random-ensemble", "--count", "1", *argv) == 2
         err = capsys.readouterr().err

@@ -39,6 +39,16 @@ class TestActiveSet:
         assert err.value.constraint == "g[0]"
         assert err.value.worst_violation == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("point", [[math.nan, 0.0], [0.0, math.inf]])
+    def test_nonfinite_point_rejected(self, point):
+        # every comparison with NaN is false, so no constraint would flag it
+        inst = PopInstance(f=poly(2, {(1, 0): 1.0}), g=(UNIT_BALL_2,))
+        assert not inst.is_feasible(point)
+        with pytest.raises(FeasibilityError, match="not finite"):
+            active_set(inst, point)
+        with pytest.raises(FeasibilityError):
+            audit_point(inst, point)
+
 
 class TestMultipliers:
     def test_equality_quadratic(self):

@@ -32,27 +32,27 @@ class TestValidation:
         tiny_problem().validate()
 
     def test_asymmetric_rejected(self):
-        # A_1[0, 1] = 0.7 but A_1[1, 0] = 0.5, given as a cube and as triplets
+        # A_1[0, 1] = 0.7 but A_1[1, 0] = 0.5: a dense cube fails where it
+        # enters, and triplets cannot hold the (1, 0) entry at all
         a = np.zeros((2, 2, 2))
         a[0, 0, 0] = 1.0
         a[1, 0, 1], a[1, 1, 0] = 0.7, 0.5
-        triplets = CoeffBlock(2, 2, rows=[0, 1, 1], cols=[0, 1, 2], vals=[1.0, 0.7, 0.5])
-        messages = []
-        for block in (a, triplets):
-            prob = SdpProblem(block_sizes=[2], a_blocks=[block], b_free=np.array([[1.0], [0.0]]),
-                              rhs=np.array([1.0, 0.25]), c_free=np.array([1.0]))
-            with pytest.raises(ValueError, match="asymmetric") as err:
-                prob.validate()
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        with pytest.raises(ValueError, match="asymmetric"):
+            SdpProblem(block_sizes=[2], a_blocks=[a], b_free=np.array([[1.0], [0.0]]),
+                       rhs=np.array([1.0, 0.25]), c_free=np.array([1.0]))
+        with pytest.raises(ValueError, match="below the diagonal"):
+            CoeffBlock(2, 2, rows=[0, 1, 1], cols=[0, 1, 2], vals=[1.0, 0.7, 0.5])
+        with pytest.raises(ValueError, match="below the diagonal"):
+            CoeffBlock(2, 2, rows=[1], cols=[2], vals=[0.5])   # already sorted
 
-    def test_missing_transposed_entry_rejected(self):
-        # only the (0, 1) entry of A_1 is held
+    def test_upper_entry_is_the_symmetric_pair(self):
+        # the lone (0, 1) entry of A_1 stands for (1, 0) too
         block = CoeffBlock(2, 2, rows=[0, 1], cols=[0, 1], vals=[1.0, 0.5])
+        assert np.array_equal(block.to_dense(), [[[1.0, 0.0], [0.0, 0.0]],
+                                                 [[0.0, 0.5], [0.5, 0.0]]])
         prob = SdpProblem(block_sizes=[2], a_blocks=[block], b_free=np.array([[1.0], [0.0]]),
                           rhs=np.array([1.0, 0.25]), c_free=np.array([1.0]))
-        with pytest.raises(ValueError, match="asymmetric"):
-            prob.validate()
+        assert np.array_equal(prob.to_dense()[0], tiny_problem().to_dense()[0])
 
     def test_block_shape_checked(self):
         prob = tiny_problem()
@@ -128,6 +128,15 @@ class TestTextFormat:
             with pytest.raises(ParseError, match="outside"):
                 SdpProblem.from_text(text)
 
+    def test_lower_record_reads_as_its_transpose(self):
+        text = tiny_problem().to_text()
+        assert "A 1 0 0 1 0.5\n" in text
+        lower = SdpProblem.from_text(text.replace("A 1 0 0 1 0.5", "A 1 0 1 0 0.5"))
+        assert np.array_equal(lower.to_dense()[0], tiny_problem().to_dense()[0])
+        both = SdpProblem.from_text(text.replace("A 1 0 0 1 0.5", "A 1 0 0 1 0.5\nA 1 0 1 0 0.25"))
+        assert both.a_blocks[0].vals.tolist() == [1.0, 0.75]
+        assert np.array_equal(both.to_dense()[0][1], [[0.0, 0.75], [0.75, 0.0]])
+
     @pytest.mark.parametrize("case, digest", [
         ("motzkin-sos-4", "d213b919b6f77ae30e652a42e83b2bab6434805a8cb9d2380d1713b4ae0a4105"),
         ("corpus-5-moment-3", "29c5e6573b0c5c5fb08ae7c4e2dc7b29b14e10323a58d32234cb9dd3a062916a"),
@@ -181,7 +190,7 @@ class TestCoeffBlock:
         a = a + a.transpose(0, 2, 1)
         blk = CoeffBlock.from_dense(a)
         assert np.array_equal(blk.to_dense(), a)
-        assert len(blk.vals) == np.count_nonzero(a)
+        assert len(blk.vals) == np.count_nonzero(np.triu(a))
         order = rng.permutation(len(blk.vals))
         shuffled = CoeffBlock(4, 3, blk.rows[order], blk.cols[order], blk.vals[order])
         for field in ("rows", "cols", "vals"):
@@ -198,6 +207,24 @@ class TestCoeffBlock:
         assert blk.nbytes == blk.rows.nbytes + blk.cols.nbytes + blk.vals.nbytes
 
     def test_motzkin_level_6_is_small(self):
-        # the dense cubes of this level hold 35.4 MB
+        # the dense cubes of this level hold 35.4 MB, the triplets of both
+        # triangles 470,400 bytes, those of the upper triangle 238,896
         prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 6)
-        assert sum(a.nbytes for a in prob.a_blocks) <= 2 ** 20
+        assert sum(a.nbytes for a in prob.a_blocks) <= 2 ** 18
+
+    @pytest.mark.parametrize("build", ["sos", "dual", "text"])
+    def test_builders_hold_the_upper_triangle(self, build):
+        inst = gallery_instance("equality-quadratic")
+        prob = build_sos_relaxation(inst, 2)
+        if build == "dual":
+            prob = prob.dual()
+        elif build == "text":
+            prob = SdpProblem.from_text(prob.to_text())
+        for blk in prob.a_blocks:
+            p, q = np.divmod(blk.cols, blk.size)
+            assert (p <= q).all() and (p < q).any()
+            # the mirrored triplets are sorted by (m, p, q) and hold every
+            # off-diagonal entry twice
+            rows, cols, vals = blk.both_triangles()
+            assert len(vals) == 2 * len(blk.vals) - np.count_nonzero(p == q)
+            assert (np.diff(rows * blk.size ** 2 + cols) > 0).all()
