@@ -24,7 +24,6 @@ the leading ``basis_size(n, t)`` block of M_k(y).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +31,8 @@ import numpy as np
 
 from .errors import DegenerateDualError, ParseError
 from .polynomials import Polynomial, basis, basis_size, monomial_mul
-from .pop import PopInstance, instance_from_dict, instance_to_dict, _poly_from_records, _poly_to_records
+from .pop import PopInstance, instance_from_dict, instance_to_dict, read_json, write_json, \
+    _poly_from_records, _poly_to_records
 
 # Singular values below RANK_REL_TOL times the largest one count as zero when
 # ranking moment matrices; matches solver accuracy 1e-8 with safety margin.
@@ -80,13 +80,6 @@ class MomentVector:
         exponents = np.array(basis(len(point), 2 * level).entries)
         return MomentVector(nvars=len(point), level=level,
                             values=np.prod(point ** exponents, axis=1))
-
-    @staticmethod
-    def mixture(components, weights, level: int) -> "MomentVector":
-        """Moments of a finite atomic measure sum_i w_i * delta(points_i)."""
-        parts = [MomentVector.from_point_mass(p, level) for p in components]
-        values = sum(w * part.values for w, part in zip(weights, parts))
-        return MomentVector(nvars=parts[0].nvars, level=level, values=values)
 
 
 def extract_dual_moments(sol, layout) -> MomentVector:
@@ -204,9 +197,11 @@ def extract_minimizer_rank1(y: MomentVector, inst: PopInstance | None = None,
 
     The y_{e_i} are ``y.values[1:nvars + 1]``, the degree-1 block of the
     graded-lex order.  Returns (point, None), or (None, reason) if the
-    rank-1 precondition fails, if the moments are not consistent with a
-    point mass, or if the optional feasibility / objective-value checks
-    fail.
+    rank-1 precondition fails or if the moments are not consistent with a
+    point mass.  Given ``inst``, the point must also meet its constraints at
+    ``MINIMIZER_FEAS_TOL`` (``PopInstance.worst_violation``), and given the
+    bound ``value`` too, f(u) must match it to ``POINT_MASS_TOL``: this is
+    where an extracted minimizer is accepted, and callers do not re-check.
     """
     mat = y.moment_matrix(y.level)
     svals = np.linalg.svd(mat, compute_uv=False)
@@ -228,9 +223,9 @@ def extract_minimizer_rank1(y: MomentVector, inst: PopInstance | None = None,
                       f"({scaled[i]:.6g} vs {expected[i]:.6g})")
 
     if inst is not None:
-        if not inst.is_feasible(point, MINIMIZER_FEAS_TOL):
-            eq, ineq = inst.violations(point)
-            return None, f"extracted point infeasible (|h|={eq:.2e}, -g={ineq:.2e})"
+        worst = inst.worst_violation(point, MINIMIZER_FEAS_TOL)
+        if worst is not None:
+            return None, f"extracted point infeasible: {worst[1]} violated by {worst[0]:.2e}"
         if value is not None:
             fu = inst.f.eval(point)
             if abs(fu - value) > POINT_MASS_TOL * (1.0 + abs(value)):
@@ -434,15 +429,8 @@ def certificate_from_dict(doc: dict) -> tuple:
 
 
 def write_certificate(cert: Certificate, path, inst: PopInstance | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(certificate_to_dict(cert, inst), fh, indent=1)
-        fh.write("\n")
+    write_json(certificate_to_dict(cert, inst), path, indent=1)
 
 
 def read_certificate(path) -> tuple:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    return certificate_from_dict(doc)
+    return certificate_from_dict(read_json(path))

@@ -14,13 +14,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .certify import extract_certificate, read_certificate, verify_certificate, \
-    write_certificate
+from .certify import CERT_TOL, extract_certificate, read_certificate, \
+    verify_certificate, write_certificate
 from .errors import FeasibilityError, LevelError, ParseError, PolyOptError
 from .gallery import gallery_instance, gallery_names
-from .hierarchy import run_hierarchy
-from .localopt import audit_point
-from .pop import instance_to_dict, read_instance, write_instance
+from .hierarchy import STAGNATION_REL, run_hierarchy
+from .localopt import ACTIVE_TOL, audit_point
+from .pop import _jsonable, instance_to_dict, read_instance, write_instance
 from .relaxation import augment_archimedean, build_moment_relaxation, \
     build_sos_relaxation, relaxation_value
 from .ensemble import run_ensemble
@@ -33,16 +33,20 @@ EXIT_UNVERIFIED = 4
 
 
 def _solver_options(args) -> SolverOptions:
-    if args.max_iter < 1:
-        raise ParseError(f"--max-iter must be at least 1, got {args.max_iter}")
-    return SolverOptions(tol_gap=args.tol_gap, tol_feas=args.tol_feas,
-                         max_iter=args.max_iter)
+    try:
+        return SolverOptions(tol_gap=args.tol_gap, tol_feas=args.tol_feas,
+                             max_iter=args.max_iter).validate()
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _load_instance(args):
     inst = read_instance(args.instance)
     if getattr(args, "ball", None) is not None:
-        inst = augment_archimedean(inst, args.ball)
+        try:
+            inst = augment_archimedean(inst, args.ball)
+        except ValueError as exc:   # a bound that is not positive, or not finite
+            raise ParseError(f"--ball: {exc}") from exc
     return inst
 
 
@@ -57,18 +61,10 @@ def _parse_point(text: str) -> np.ndarray:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        json.dump(payload, sys.stdout, indent=1, default=_default)
+        json.dump(_jsonable(payload), sys.stdout, indent=1)
         sys.stdout.write("\n")
     else:
         print(text)
-
-
-def _default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def cmd_solve(args) -> int:
@@ -221,7 +217,10 @@ def cmd_gallery(args) -> int:
             lines.append(f"  {name}: {inst.metadata.get('description', '')}")
         _emit(args, {"names": gallery_names()}, "\n".join(lines))
         return EXIT_OK
-    inst = gallery_instance(args.name)
+    try:
+        inst = gallery_instance(args.name)
+    except KeyError as exc:
+        raise ParseError(exc.args[0]) from exc
     if args.out:
         write_instance(inst, args.out)
         print(f"wrote {args.name} to {args.out}")
@@ -239,10 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"polyopt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    solver_defaults = SolverOptions()
+
     def common_solver(p):
-        p.add_argument("--tol-gap", type=float, default=1e-8)
-        p.add_argument("--tol-feas", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=200)
+        p.add_argument("--tol-gap", type=float, default=solver_defaults.tol_gap)
+        p.add_argument("--tol-feas", type=float, default=solver_defaults.tol_feas)
+        p.add_argument("--max-iter", type=int, default=solver_defaults.max_iter)
 
     def common_instance(p):
         p.add_argument("instance", help="instance JSON file")
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--cert-dir", default=None, help="write per-level certificates here")
     p.add_argument("--csv", default=None, help="write the level/value table as CSV")
-    p.add_argument("--tol-stagnation", type=float, default=1e-9,
+    p.add_argument("--tol-stagnation", type=float, default=STAGNATION_REL,
                    help="relative bound increase treated as stagnant")
     common_solver(p)
     common_output(p)
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True,
                    help="comma/space separated coordinates or a JSON list "
                         "(use --point=-1,0 for negative leading values)")
-    p.add_argument("--tol-active", type=float, default=1e-6)
+    p.add_argument("--tol-active", type=float, default=ACTIVE_TOL)
     common_output(p)
     p.set_defaults(func=cmd_check_local)
 
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-verify a certificate file")
     p.add_argument("certificate")
     p.add_argument("--instance", default=None)
-    p.add_argument("--tol-cert", type=float, default=1e-6)
+    p.add_argument("--tol-cert", type=float, default=CERT_TOL)
     common_output(p)
     p.set_defaults(func=cmd_verify)
 

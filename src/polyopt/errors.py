@@ -26,7 +26,8 @@ class FeasibilityError(PolyOptError, ValueError):
 
 
 class LevelError(PolyOptError, ValueError):
-    """A relaxation level below the minimum admissible one was requested."""
+    """A relaxation level below the minimum admissible one, or a level range
+    that ends below its start, was requested."""
 
     def __init__(self, message, min_level=None):
         super().__init__(message)

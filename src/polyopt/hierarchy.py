@@ -111,8 +111,9 @@ def run_hierarchy(inst: PopInstance,
     ``certificate_k<level>.json``.  ``stagnation_tol`` is the relative
     increase below which a level counts as stagnant; the default sits under
     the solver tolerance, so stagnation stops are rare unless the caller
-    loosens it.  Options the solver would reject (``max_iter`` below 1)
-    raise ValueError before any level is built.
+    loosens it.  Options that ``SolverOptions.validate`` rejects raise
+    ValueError, and a ``k_max`` below ``k_min`` raises LevelError, before
+    any level is built.
     """
     min_k = inst.min_level()
     if k_min is None:
@@ -124,7 +125,7 @@ def run_hierarchy(inst: PopInstance,
     if k_max is None:
         k_max = k_min + 3
     if k_max < k_min:
-        raise ValueError(f"k_max {k_max} below k_min {k_min}")
+        raise LevelError(f"maximum level {k_max} is below the starting level {k_min}")
     if solver_options is not None:
         solver_options.validate()
 

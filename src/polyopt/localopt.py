@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FeasibilityError
-from .pop import PopInstance
+from .pop import NOT_FINITE, PopInstance, band
 
-# Default tolerances.  Activity and feasibility bands are relative to the
-# magnitude of the polynomial evaluation at the point; rank and eigenvalue
+# Default tolerances.  Activity and feasibility share ``pop.band``, relative to
+# the magnitude of the polynomial evaluation at the point; rank and eigenvalue
 # cutoffs follow the usual relative SVD / Hessian-norm conventions.
 ACTIVE_TOL = 1e-6
 RANK_REL_TOL = 1e-8
@@ -90,35 +90,22 @@ class LocalReport:
 
 
 def active_set(inst: PopInstance, point, tol: float = ACTIVE_TOL) -> ActiveSet:
-    """Active inequality indices {j : |g_j(u)| <= tol * scale_j}.
+    """Active inequality indices {j : |g_j(u)| <= pop.band(g_j, u, tol)}.
 
     Raises FeasibilityError when the point is not finite or is infeasible
-    beyond the same relative band.
+    beyond the same band (``PopInstance.worst_violation``).
     """
     u = np.asarray(point, dtype=float)
-    if not np.isfinite(u).all():   # no comparison below would flag a NaN
-        raise FeasibilityError(f"point is not finite: {u.tolist()}")
-    worst = (0.0, None)
-    for i, p in enumerate(inst.h):
-        band = tol * (1.0 + p.eval_abs(u))
-        val = p.eval(u)
-        if abs(val) > band and abs(val) > worst[0]:
-            worst = (abs(val), f"h[{i}]")
-    for j, p in enumerate(inst.g):
-        band = tol * (1.0 + p.eval_abs(u))
-        val = p.eval(u)
-        if val < -band and -val > worst[0]:
-            worst = (-val, f"g[{j}]")
-    if worst[1] is not None:
+    worst = inst.worst_violation(u, tol)
+    if worst is not None:
+        amount, label = worst
+        if label == NOT_FINITE:
+            raise FeasibilityError(f"point is not finite: {u.tolist()}")
         raise FeasibilityError(
-            f"point is infeasible: constraint {worst[1]} violated by {worst[0]:.3e}",
-            worst_violation=worst[0], constraint=worst[1])
-    indices = []
-    for j, p in enumerate(inst.g):
-        band = tol * (1.0 + p.eval_abs(u))
-        if abs(p.eval(u)) <= band:
-            indices.append(j)
-    return ActiveSet(indices=tuple(indices), tolerance=tol)
+            f"point is infeasible: constraint {label} violated by {amount:.3e}",
+            worst_violation=amount, constraint=label)
+    indices = tuple(j for j, p in enumerate(inst.g) if abs(p.eval(u)) <= band(p, u, tol))
+    return ActiveSet(indices=indices, tolerance=tol)
 
 
 def _active_jacobian(inst: PopInstance, u, active: ActiveSet) -> np.ndarray:

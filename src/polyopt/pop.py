@@ -2,7 +2,10 @@
 
 An instance is: minimize f(x) subject to h_i(x) = 0 and g_j(x) >= 0.
 The file format stores each polynomial as a list of {coefficient, exponents}
-records so that parse -> print -> parse is idempotent.
+records so that parse -> print -> parse is idempotent.  ``read_json`` and
+``write_json`` read and write every JSON file of the package (instances,
+certificates, ensemble failure dumps), and ``PopInstance.worst_violation``
+is its one feasibility test.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from .polynomials import Polynomial
 class PopInstance:
     """Problem data: objective f, equalities h, inequalities g.
 
-    Either constraint tuple may be empty.  ``metadata`` carries optional
-    extras (known minimum, known minimizers, ball radius) and never affects
+    Either constraint tuple may be empty; a constraint that is the zero
+    polynomial raises ValueError.  ``metadata`` carries optional extras
+    (known minimum, known minimizers, ball radius) and never affects
     computation.
     """
 
@@ -39,6 +43,10 @@ class PopInstance:
             if p.nvars != n:
                 raise DimensionMismatchError(
                     f"constraint has {p.nvars} variables, objective has {n}")
+        zero = [f"h[{i}]" for i, p in enumerate(self.h) if p.is_zero()] + \
+            [f"g[{j}]" for j, p in enumerate(self.g) if p.is_zero()]
+        if zero:
+            raise ValueError(f"constraint {zero[0]} is the zero polynomial")
 
     @property
     def nvars(self) -> int:
@@ -56,23 +64,40 @@ class PopInstance:
     # -- feasibility -------------------------------------------------------
 
     def violations(self, point) -> tuple[float, float]:
-        """(worst |h_i(u)|, worst max(0, -g_j(u))) at the point."""
-        eq = max((abs(p.eval(point)) for p in self.h), default=0.0)
-        ineq = max((max(0.0, -p.eval(point)) for p in self.g), default=0.0)
+        """(worst |h_i(u)|, worst max(0, -g_j(u))) at the point; (inf, inf) at a
+        point that is not finite, which no comparison would flag."""
+        u = np.asarray(point, dtype=float)
+        if not np.isfinite(u).all():
+            return math.inf, math.inf
+        eq = max((abs(p.eval(u)) for p in self.h), default=0.0)
+        ineq = max((max(0.0, -p.eval(u)) for p in self.g), default=0.0)
         return eq, ineq
+
+    def worst_violation(self, point, tol: float = 1e-8) -> tuple[float, str] | None:
+        """The worst constraint violation beyond ``band``, as (amount, label), or None.
+
+        The label is ``h[i]`` or ``g[j]``; the first of equally bad constraints
+        wins.  A point that is not finite is reported as (inf, NOT_FINITE).
+        """
+        u = np.asarray(point, dtype=float)
+        if not np.isfinite(u).all():
+            return math.inf, NOT_FINITE
+        signed = [(abs(p.eval(u)), f"h[{i}]", p) for i, p in enumerate(self.h)] + \
+            [(-p.eval(u), f"g[{j}]", p) for j, p in enumerate(self.g)]
+        over = [(amount, label) for amount, label, p in signed if amount > band(p, u, tol)]
+        return max(over, key=lambda v: v[0], default=None)
 
     def is_feasible(self, point, tol: float = 1e-8) -> bool:
         """Whether the point is finite and meets every constraint to ``tol``."""
-        u = np.asarray(point, dtype=float)
-        if not np.isfinite(u).all():
-            return False
-        for p in self.h:
-            if abs(p.eval(u)) > tol * (1.0 + p.eval_abs(u)):
-                return False
-        for p in self.g:
-            if p.eval(u) < -tol * (1.0 + p.eval_abs(u)):
-                return False
-        return True
+        return self.worst_violation(point, tol) is None
+
+
+NOT_FINITE = "point (not finite)"   # worst_violation's label for a NaN or inf coordinate
+
+
+def band(p: Polynomial, point, tol: float) -> float:
+    """tol * (1 + sum_a |c_a| |u^a|), the band of p(u) around 0 that counts as 0."""
+    return tol * (1.0 + p.eval_abs(point))
 
 
 def ball_constraint(nvars: int, radius_sq: float) -> Polynomial:
@@ -131,24 +156,36 @@ def instance_from_dict(doc: dict) -> PopInstance:
     f = _poly_from_records(doc.get("objective", []), nvars)
     h = tuple(_poly_from_records(r, nvars) for r in doc.get("equalities", []))
     g = tuple(_poly_from_records(r, nvars) for r in doc.get("inequalities", []))
-    return PopInstance(f=f, h=h, g=g, metadata=dict(doc.get("metadata", {})))
+    try:
+        return PopInstance(f=f, h=h, g=g, metadata=dict(doc.get("metadata", {})))
+    except ValueError as exc:   # a constraint that is the zero polynomial
+        raise ParseError(f"bad instance: {exc}") from exc
 
 
 def write_instance(inst: PopInstance, path) -> None:
+    write_json(instance_to_dict(inst), path, indent=2)
+
+
+def write_json(doc: dict, path, indent: int) -> None:
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
+        json.dump(doc, fh, indent=indent)
         fh.write("\n")
 
 
 def read_instance(path) -> PopInstance:
+    return instance_from_dict(read_json(path))
+
+
+def read_json(path) -> dict:
+    """The JSON object a file holds; ParseError if it is not valid JSON or not an object."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSON decode error, or bytes that are not text
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
-    return instance_from_dict(doc)
+    return doc
 
 
 def _jsonable(value):

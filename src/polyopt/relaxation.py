@@ -71,19 +71,6 @@ class MomentLayout:
     free_monomials: tuple
 
 
-def _check_level(inst: PopInstance, k: int) -> None:
-    min_k = inst.min_level()
-    if k < min_k:
-        raise LevelError(
-            f"level {k} is below the minimum admissible level {min_k}", min_level=min_k)
-    for i, p in enumerate(inst.h):
-        if p.is_zero():
-            raise ValueError(f"equality constraint h[{i}] is the zero polynomial")
-    for j, p in enumerate(inst.g):
-        if p.is_zero():
-            raise ValueError(f"inequality constraint g[{j}] is the zero polynomial")
-
-
 def _gram_bases(inst: PopInstance, k: int):
     """Monomial basis of each Gram block, g_0 = 1 first."""
     n = inst.nvars
@@ -96,7 +83,10 @@ def _gram_bases(inst: PopInstance, k: int):
 
 
 def build_sos_relaxation(inst: PopInstance, k: int) -> SdpProblem:
-    _check_level(inst, k)
+    min_k = inst.min_level()
+    if k < min_k:
+        raise LevelError(
+            f"level {k} is below the minimum admissible level {min_k}", min_level=min_k)
     n = inst.nvars
     rows = basis(n, 2 * k)
     nrows = len(rows)

@@ -145,9 +145,14 @@ class SolverOptions:
     max_iter: int = 200
 
     def validate(self):
-        """Raise ValueError when ``max_iter`` is below 1."""
+        """Return self; raise ValueError when ``max_iter`` is below 1 or a
+        tolerance is not finite and positive (a NaN tolerance is never met)."""
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        for name in ("tol_gap", "tol_feas"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         return self
 
 

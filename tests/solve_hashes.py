@@ -12,7 +12,12 @@ every X and Z block, all at full precision.  Each SOS-form solve also gets a
 matrix M_k(y) of ``extract_dual_moments`` at the solved level k,
 ``flat_truncation(...).to_dict()`` and ``certificate_to_dict`` of
 ``extract_certificate`` without the ``squares`` of each block, whose last
-bits depend on the eigensolver's order of work.  Each solved problem also
+bits depend on the eigensolver's order of work.  Each SOS-form solve whose
+flat truncation ends flat with rank 1 also gets a ``<solve>-audit`` hash
+over the ``(point, reason)`` that ``extract_minimizer_rank1`` returns at the
+flat order (given the instance and the level's bound, as ``run_hierarchy``
+gives them) and, for an accepted point, ``audit_point(inst, u,
+tol=AUDIT_TOL).to_dict()``.  Each solved problem also
 gets a ``<solve>-problem`` hash of its ``to_text()`` export, so a change to
 how the coefficients are stored shows whether the text stays byte-identical.
 A step that raises is hashed as its error message.  The solves are:
@@ -31,13 +36,14 @@ A step that raises is hashed as its error message.  The solves are:
 of (``SdpProblem.dual_of``).  So each of the 180 moment-form problems is
 hashed twice: under ``<name>`` as solved with that link removed, which runs
 the moment form's own KKT system, and under ``<name>-routed`` as ``solve``
-returns it.  That makes 974 solve, 974 problem and 614 artifact hashes.
+returns it.  That makes 974 solve, 974 problem, 614 artifact and 338 audit
+hashes (2,900 in all).
 
 BLAS is pinned to one thread, since the reduction order of more threads
 changes the rounding.  ``polyopt`` is imported from ``PYTHONPATH``, so
 pointing it at another checkout's ``src`` hashes that checkout's solver with
 the same problems.  The file has one ``name hash status iterations`` line
-per solve and one ``name hash`` line per problem or artifact hash.  With
+per solve and one ``name hash`` line per problem, artifact or audit hash.  With
 ``--compare FILE`` the script names every hash that differs from (or is
 missing in) FILE, prints how a differing solve moved (status and
 iterations, FILE's then this run's), and exits with status 1 if any hash
@@ -58,12 +64,12 @@ import numpy as np  # noqa: E402
 
 import json  # noqa: E402
 
-from polyopt import PopInstance, ball_constraint, build_moment_relaxation, \
-    build_sos_relaxation, extract_certificate, extract_dual_moments, flat_truncation, \
-    solve  # noqa: E402
+from polyopt import PopInstance, audit_point, ball_constraint, build_moment_relaxation, \
+    build_sos_relaxation, extract_certificate, extract_dual_moments, \
+    extract_minimizer_rank1, flat_truncation, relaxation_value, solve  # noqa: E402
 from polyopt.certify import certificate_to_dict  # noqa: E402
 from polyopt.errors import PolyOptError  # noqa: E402
-from polyopt.ensemble import random_instance, random_polynomial  # noqa: E402
+from polyopt.ensemble import AUDIT_TOL, random_instance, random_polynomial  # noqa: E402
 from polyopt.gallery import gallery_instance  # noqa: E402
 
 from corpus import corpus_instances  # noqa: E402
@@ -117,18 +123,37 @@ def solve_hash(sol) -> str:
     return digest.hexdigest()
 
 
-def artifacts_hash(inst, prob, sol) -> str:
+def artifacts_hashes(inst, prob, sol):
+    """The artifacts hash of an SOS solve, and its audit hash (None unless flat with rank 1)."""
     digest = hashlib.sha256()
+    audit = None
     try:
         moments = extract_dual_moments(sol, prob.layout)
         digest.update(np.ascontiguousarray(moments.moment_matrix(prob.layout.level)).tobytes())
-        flat = flat_truncation(moments, inst).to_dict()
+        report = flat_truncation(moments, inst)
+        flat = report.to_dict()
+        if report.is_flat and report.rank_at(report.flat_at) == 1:
+            audit = audit_hash(inst, moments.truncate(report.flat_at),
+                               relaxation_value(prob, sol))
     except PolyOptError as exc:
         flat = repr(exc)
     cert = certificate_to_dict(extract_certificate(prob, sol, inst))
     for block in cert["sigma"]:
         del block["squares"]
     digest.update(json.dumps([flat, cert], sort_keys=True).encode())
+    return digest.hexdigest(), audit
+
+
+def audit_hash(inst, moments, value) -> str:
+    digest = hashlib.sha256()
+    point, reason = extract_minimizer_rank1(moments, inst, value)
+    if point is not None:
+        digest.update(np.ascontiguousarray(point, dtype=float).tobytes())
+        try:
+            reason = audit_point(inst, point, tol=AUDIT_TOL).to_dict()
+        except PolyOptError as exc:
+            reason = repr(exc)
+    digest.update(json.dumps(reason, sort_keys=True).encode())
     return digest.hexdigest()
 
 
@@ -145,7 +170,10 @@ def main(argv=None) -> int:
         hashes[f"{name}-problem"] = [hashlib.sha256(prob.to_text().encode()).hexdigest()]
         iterations += sol.iterations
         if prob.layout.kind == "sos":
-            hashes[f"{name}-artifacts"] = [artifacts_hash(inst, prob, sol)]
+            artifacts, audit = artifacts_hashes(inst, prob, sol)
+            hashes[f"{name}-artifacts"] = [artifacts]
+            if audit is not None:
+                hashes[f"{name}-audit"] = [audit]
     lines = [" ".join([name, *fields]) + "\n" for name, fields in hashes.items()]
     if args.out:
         with open(args.out, "w") as fh:

@@ -10,6 +10,13 @@ from polyopt.certify import Certificate, GramBlock, gram_clip_psd
 from polyopt.polynomials import basis
 
 
+def mixture(components, weights, level):
+    """Moments of the finite atomic measure sum_i w_i * delta(points_i)."""
+    parts = [MomentVector.from_point_mass(p, level) for p in components]
+    values = sum(w * part.values for w, part in zip(weights, parts))
+    return MomentVector(nvars=parts[0].nvars, level=level, values=values)
+
+
 def solve_sos(inst, k):
     prob = build_sos_relaxation(inst, k)
     sol = solve(prob)
@@ -176,7 +183,7 @@ class TestFlatTruncation:
 
     def test_two_atoms_rank_two(self):
         inst = PopInstance(f=Polynomial(2, {(2, 0): 1.0}))
-        y = MomentVector.mixture([[0.5, 0.0], [-0.5, 0.3]], [0.5, 0.5], 2)
+        y = mixture([[0.5, 0.0], [-0.5, 0.3]], [0.5, 0.5], 2)
         report = flat_truncation(y, inst)
         assert report.ranks[1] == 2
         assert report.ranks[2] == 2
@@ -193,7 +200,7 @@ class TestFlatTruncation:
         rng = np.random.default_rng(9)
         inst = PopInstance(f=Polynomial(2, {(2, 0): 1.0}))
         pts = rng.uniform(-1, 1, size=(3, 2))
-        y = MomentVector.mixture(list(pts), [0.2, 0.5, 0.3], 3)
+        y = mixture(list(pts), [0.2, 0.5, 0.3], 3)
         report = flat_truncation(y, inst)
         ordered = [report.ranks[t] for t in sorted(report.ranks)]
         assert all(a <= b for a, b in zip(ordered, ordered[1:]))
@@ -207,7 +214,7 @@ class TestMinimizerExtraction:
         assert reason is None
 
     def test_rank_two_rejected(self):
-        y = MomentVector.mixture([[0.5, 0.0], [-0.5, 0.3]], [0.5, 0.5], 2)
+        y = mixture([[0.5, 0.0], [-0.5, 0.3]], [0.5, 0.5], 2)
         u, reason = extract_minimizer_rank1(y)
         assert u is None
         assert "rank" in reason
@@ -240,7 +247,8 @@ class TestMinimizerExtraction:
         y = MomentVector.from_point_mass([2.0, 0.0], 2)
         u, reason = extract_minimizer_rank1(y, inst)
         assert u is None
-        assert "infeasible" in reason
+        # the worst constraint and its violation, as PopInstance.worst_violation finds them
+        assert reason == "extracted point infeasible: g[0] violated by 3.00e+00"
 
 
 class TestCertificateFiles:

@@ -33,8 +33,10 @@ class TestGalleryCommand:
         assert instance_to_dict(read_instance(again)) == instance_to_dict(inst)
 
     def test_unknown_name(self, capsys):
-        with pytest.raises(KeyError):
-            run_cli("gallery", "bogus")
+        assert run_cli("gallery", "bogus") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown gallery instance 'bogus'")
+        assert err.count("\n") == 1
 
 
 class TestSolveCommand:
@@ -82,7 +84,7 @@ class TestSolveCommand:
     def test_max_iter_below_one(self, quad_file, tmp_path, monkeypatch, command, value, capsys):
         monkeypatch.chdir(tmp_path)
         assert run_cli(command, quad_file, "--max-iter", value) == 2
-        assert capsys.readouterr().err == f"error: --max-iter must be at least 1, got {value}\n"
+        assert capsys.readouterr().err == f"error: max_iter must be at least 1, got {value}\n"
         assert not (tmp_path / "certificate.json").exists()
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
@@ -110,6 +112,71 @@ class TestSolveCommand:
         assert run_cli("solve", quad_file, "--level", "0") == 2
         assert run_cli("certify", quad_file, "--level", "0") == 2
         assert run_cli("hierarchy", quad_file, "--level", "0") == 2
+
+
+class TestInputErrors:
+    """Each bad input exits 2 with one ``error:`` line, not a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path, quad_file):
+        doc = json.loads(open(quad_file).read())
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps(dict(doc, equalities=[[]])))
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")
+        return {"quad": quad_file, "zero": str(zero), "list": str(listed),
+                "binary": str(binary)}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gallery", "nosuch"], "unknown gallery instance"),
+        (["solve", "quad", "--ball", "0"], "--ball: ball bound must be positive"),
+        (["certify", "quad", "--ball", "-1"], "--ball: ball bound must be positive"),
+        (["hierarchy", "quad", "--ball", "0"], "--ball: ball bound must be positive"),
+        (["solve", "quad", "--ball", "nan"], "--ball: "),
+        (["hierarchy", "quad", "--level", "3", "--max-level", "2"],
+         "maximum level 2 is below the starting level 3"),
+        (["solve", "zero"], "h[0] is the zero polynomial"),
+        (["certify", "zero"], "h[0] is the zero polynomial"),
+        (["verify", "list"], "expected a JSON object at top level"),
+        (["solve", "binary"], "not valid JSON"),
+        (["solve", "quad", "--tol-gap", "nan"], "tol_gap must be finite and positive"),
+        (["certify", "quad", "--tol-feas", "0"], "tol_feas must be finite and positive"),
+        (["hierarchy", "quad", "--tol-gap=-1e-8"], "tol_gap must be finite and positive"),
+    ], ids=["gallery-unknown", "solve-ball-0", "certify-ball-neg", "hierarchy-ball-0",
+            "solve-ball-nan", "hierarchy-level-range", "solve-zero-constraint",
+            "certify-zero-constraint", "verify-json-list", "solve-binary-file",
+            "solve-tol-gap-nan", "certify-tol-feas-0", "hierarchy-tol-gap-neg"])
+    def test_exits_2_with_one_line(self, files, tmp_path, monkeypatch, argv, message, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = [files.get(a, a) for a in argv]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not (tmp_path / "certificate.json").exists()
+
+
+class TestDefaults:
+    def test_flag_defaults_are_the_library_constants(self):
+        from polyopt.certify import CERT_TOL
+        from polyopt.cli import build_parser
+        from polyopt.hierarchy import STAGNATION_REL
+        from polyopt.localopt import ACTIVE_TOL
+        from polyopt.solver import SolverOptions
+
+        parser = build_parser()
+        opts = SolverOptions()
+        for command in ("solve", "hierarchy", "certify"):
+            args = parser.parse_args([command, "x.json"])
+            assert (args.tol_gap, args.tol_feas, args.max_iter) == \
+                (opts.tol_gap, opts.tol_feas, opts.max_iter)
+        assert parser.parse_args(["hierarchy", "x.json"]).tol_stagnation == STAGNATION_REL
+        assert parser.parse_args(["check-local", "x.json", "--point", "0"]).tol_active \
+            == ACTIVE_TOL
+        assert parser.parse_args(["verify", "c.json"]).tol_cert == CERT_TOL
 
 
 class TestHierarchyCommand:

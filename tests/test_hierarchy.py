@@ -77,6 +77,12 @@ class TestDriver:
         inst = gallery_instance("quadratic-ball")
         with pytest.raises(ValueError, match="max_iter"):
             run_hierarchy(inst, solver_options=SolverOptions(max_iter=0))
+        # a NaN tolerance is never met: the run would spend every iteration
+        for bad in (dict(tol_gap=float("nan")), dict(tol_feas=0.0), dict(tol_gap=-1e-8)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                run_hierarchy(inst, solver_options=SolverOptions(**bad))
+        with pytest.raises(LevelError, match="below the starting level"):
+            run_hierarchy(inst, k_min=3, k_max=2)
         assert builds == []
         run_hierarchy(inst, k_max=1, solver_options=SolverOptions(max_iter=1))
         assert builds == [1]
@@ -181,6 +187,27 @@ class TestEnsemble:
         assert rng.bit_generator.state == state
         with pytest.raises(ValueError, match="no common solution"):
             run_ensemble(nvars=1, degree=2, count=1, seed=0, n_equalities=2)
+
+    def test_fractions_rows_and_failures_read_the_same_conditions(self):
+        from polyopt.ensemble import CONDITIONS, LOCAL_CONDITIONS, EnsembleSummary
+
+        names = [name for name, _ in CONDITIONS]
+        clean = {"index": 0, "flat": True, "minimizer_feasible": True, "cqc": True,
+                 "scc": True, "sosc": True, "certificates_verified": True,
+                 "max_level": 2, "error": None}
+        for name in names:
+            broken = dict(clean, index=1)
+            for key in (LOCAL_CONDITIONS if name == "all_conditions" else (name,)):
+                broken[key] = False
+            summary = EnsembleSummary(count=2, seed=0, nvars=2, degree=2, n_equalities=0,
+                                      level_budget=2, results=[clean, broken])
+            fractions = summary.to_dict()["fractions"]
+            assert list(fractions) == names
+            assert fractions[name] == 0.5
+            rows = summary.table().splitlines()[1:1 + len(CONDITIONS)]
+            for (row_name, label), row in zip(CONDITIONS, rows):
+                assert row == f"  {label:<28} {fractions[row_name]:8.3f}"
+            assert [r["index"] for r in summary.failures()] == [1]
 
     def test_parallel_matches_serial(self):
         serial = run_ensemble(nvars=2, degree=2, count=4, seed=11)

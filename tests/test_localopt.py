@@ -6,6 +6,7 @@ import pytest
 from polyopt import PopInstance, Polynomial, active_set, audit_point, ball_constraint, \
     check_cqc, check_scc, check_second_order, fit_multipliers
 from polyopt.errors import FeasibilityError
+from polyopt.pop import NOT_FINITE
 
 
 def poly(nvars, terms):
@@ -48,6 +49,35 @@ class TestActiveSet:
             active_set(inst, point)
         with pytest.raises(FeasibilityError):
             audit_point(inst, point)
+
+
+class TestFeasibility:
+    """``PopInstance.worst_violation`` is the one feasibility test: ``is_feasible``,
+    ``active_set`` and the minimizer check read it."""
+
+    def test_worst_violation_names_the_worst_constraint(self):
+        inst = PopInstance(f=poly(2, {(1, 0): 1.0}),
+                           h=(poly(2, {(1, 0): 1.0, (0, 0): -0.5}),), g=(UNIT_BALL_2,))
+        assert inst.worst_violation([0.5, 0.0]) is None
+        assert inst.worst_violation([2.5, 0.0]) == (pytest.approx(5.25), "g[0]")
+        assert inst.worst_violation([1.0, 0.0]) == (pytest.approx(0.5), "h[0]")
+        # inside the band tol * (1 + sum |c| |u^a|) = 1e-6 * 3 of g at (1, 0)
+        amount, label = inst.worst_violation([1.0 + 1e-6, 0.0], tol=1e-6)
+        assert label == "h[0]" and amount == pytest.approx(0.5, abs=1e-5)
+        assert inst.is_feasible([0.5, 0.0]) and not inst.is_feasible([0.5, 1.0])
+
+    @pytest.mark.parametrize("point", [[math.nan, 0.0], [0.0, -math.inf]])
+    def test_nonfinite_point_is_never_feasible(self, point):
+        inst = PopInstance(f=poly(2, {(1, 0): 1.0}),
+                           h=(poly(2, {(1, 0): 1.0}),), g=(UNIT_BALL_2,))
+        assert inst.worst_violation(point) == (math.inf, NOT_FINITE)
+        # every comparison with NaN is false, so this read (0.0, 0.0)
+        assert inst.violations(point) == (math.inf, math.inf)
+        assert inst.violations([0.0, 0.0]) == (0.0, 0.0)
+
+    def test_zero_constraint_rejected(self):
+        with pytest.raises(ValueError, match=r"g\[1\] is the zero polynomial"):
+            PopInstance(f=poly(2, {(1, 0): 1.0}), g=(UNIT_BALL_2, Polynomial.zero(2)))
 
 
 class TestMultipliers:

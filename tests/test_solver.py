@@ -134,6 +134,17 @@ class TestBasics:
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             solve(scalar_bound_problem(), SolverOptions(max_iter=max_iter))
 
+    @pytest.mark.parametrize("name", ["tol_gap", "tol_feas"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_tolerance_not_finite_and_positive_raises(self, name, value):
+        # a NaN gap tolerance is never met: the run used to spend all 200
+        # iterations and end near_optimal
+        opts = SolverOptions(**{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            opts.validate()
+        with pytest.raises(ValueError, match=name):
+            solve(scalar_bound_problem(), opts)
+
 
 class TestAgainstProjectionOracle:
     def test_random_instances_match(self):
