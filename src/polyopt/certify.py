@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDualError, ParseError
+from .errors import DegenerateDualError, ParseError, check_tolerance
 from .polynomials import Polynomial, basis, basis_size, monomial_mul
 from .pop import PopInstance, instance_from_dict, instance_to_dict, read_json, write_json, \
     _poly_from_records, _poly_to_records
@@ -346,8 +346,9 @@ def verify_certificate(cert: Certificate, inst: PopInstance,
     f - gamma.  Returns (passed, max absolute coefficient defect); the
     defect is inf when the certificate does not match the instance's shape,
     or when gamma, a Gram entry or a coefficient of the identity is not
-    finite.
+    finite.  Raises ValueError when ``tol`` is not finite and positive.
     """
+    check_tolerance("tol", tol)
     if len(cert.sigma_grams) != len(inst.g) + 1:
         return False, float("inf")
     if len(cert.phi) != len(inst.h) or not math.isfinite(cert.gamma):

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .certify import CERT_TOL, extract_certificate, read_certificate, \
     verify_certificate, write_certificate
-from .errors import FeasibilityError, LevelError, ParseError, PolyOptError
+from .errors import FeasibilityError, LevelError, ParseError, PolyOptError, ToleranceError
 from .gallery import gallery_instance, gallery_names
 from .hierarchy import STAGNATION_REL, run_hierarchy
 from .localopt import ACTIVE_TOL, audit_point
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FeasibilityError, LevelError, FileNotFoundError) as exc:
+    except (ParseError, FeasibilityError, LevelError, ToleranceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PolyOptError as exc:

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one check of a tolerance."""
+
+import math
 
 
 class PolyOptError(Exception):
@@ -36,3 +38,15 @@ class LevelError(PolyOptError, ValueError):
 
 class DegenerateDualError(PolyOptError, ValueError):
     """The dual vector cannot be normalized into a moment sequence (y0 ~ 0)."""
+
+
+class ToleranceError(PolyOptError, ValueError):
+    """A tolerance that is not finite and positive (``check_tolerance``)."""
+
+
+def check_tolerance(name: str, value: float) -> float:
+    """``value``; ToleranceError naming ``name`` when it is not finite and
+    positive (a NaN tolerance is never met, or always, by a comparison)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ToleranceError(f"{name} must be finite and positive, got {value}")
+    return value

@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import Certificate, FlatTruncationReport, extract_certificate, \
     extract_dual_moments, extract_minimizer_rank1, flat_truncation, write_certificate
-from .errors import LevelError, PolyOptError
+from .errors import LevelError, PolyOptError, check_tolerance
 from .pop import PopInstance
 from .relaxation import build_sos_relaxation, relaxation_value
 from .solver import STATUS_OPTIMAL, SolverOptions, solve
@@ -111,9 +111,9 @@ def run_hierarchy(inst: PopInstance,
     ``certificate_k<level>.json``.  ``stagnation_tol`` is the relative
     increase below which a level counts as stagnant; the default sits under
     the solver tolerance, so stagnation stops are rare unless the caller
-    loosens it.  Options that ``SolverOptions.validate`` rejects raise
-    ValueError, and a ``k_max`` below ``k_min`` raises LevelError, before
-    any level is built.
+    loosens it.  Options that ``SolverOptions.validate`` rejects and a
+    ``stagnation_tol`` that is not finite and positive raise ValueError, and
+    a ``k_max`` below ``k_min`` raises LevelError, before any level is built.
     """
     min_k = inst.min_level()
     if k_min is None:
@@ -128,6 +128,7 @@ def run_hierarchy(inst: PopInstance,
         raise LevelError(f"maximum level {k_max} is below the starting level {k_min}")
     if solver_options is not None:
         solver_options.validate()
+    check_tolerance("stagnation_tol", stagnation_tol)
 
     run = HierarchyRun(instance=inst)
     stagnant_steps = 0

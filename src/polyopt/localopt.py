@@ -92,15 +92,18 @@ class LocalReport:
 def active_set(inst: PopInstance, point, tol: float = ACTIVE_TOL) -> ActiveSet:
     """Active inequality indices {j : |g_j(u)| <= pop.band(g_j, u, tol)}.
 
-    Raises FeasibilityError when the point is not finite or is infeasible
-    beyond the same band (``PopInstance.worst_violation``).
+    Raises FeasibilityError when the point is not finite, a constraint's
+    value overflows there, or it is infeasible beyond the same band
+    (``PopInstance.worst_violation``), and ValueError when ``tol`` is not
+    finite and positive.
     """
     u = np.asarray(point, dtype=float)
     worst = inst.worst_violation(u, tol)
     if worst is not None:
         amount, label = worst
         if label == NOT_FINITE:
-            raise FeasibilityError(f"point is not finite: {u.tolist()}")
+            raise FeasibilityError(
+                f"point is not finite, or a constraint overflows there: {u.tolist()}")
         raise FeasibilityError(
             f"point is infeasible: constraint {label} violated by {amount:.3e}",
             worst_violation=amount, constraint=label)

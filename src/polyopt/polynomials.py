@@ -215,27 +215,41 @@ class Polynomial:
         return self.eval(point)
 
     def eval(self, point) -> float:
-        """Evaluate at a point, with compensated (exact) term summation."""
+        """Evaluate at a point, with compensated (exact) term summation.
+
+        Where a power, a term or the sum leaves the float range, the value is
+        what ``eval_many``'s plain IEEE arithmetic gives (inf, -inf or nan),
+        not an OverflowError."""
         if len(point) != self.nvars:
             raise DimensionMismatchError(
                 f"point has length {len(point)}, expected {self.nvars}")
-        vals = []
-        for m, c in self.terms.items():
-            term = c
-            for xi, e in zip(point, m):
-                if e:
-                    term *= float(xi) ** e
-            vals.append(term)
-        return math.fsum(vals)
+        try:
+            vals = []
+            for m, c in self.terms.items():
+                term = c
+                for xi, e in zip(point, m):
+                    if e:
+                        term *= float(xi) ** e
+                vals.append(term)
+            return math.fsum(vals)
+        except (OverflowError, ValueError):   # fsum raises ValueError on inf - inf
+            import numpy as np
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(self.eval_many(np.asarray([point], dtype=float))[0])
 
     def eval_abs(self, point) -> float:
-        """Sum of |coeff| * |x|^alpha; a scale bound for evaluation magnitudes."""
+        """Sum of |coeff| * |x|^alpha; a scale bound for evaluation magnitudes,
+        inf where a power leaves the float range."""
         total = 0.0
         for m, c in self.terms.items():
             term = abs(c)
             for xi, e in zip(point, m):
                 if e:
-                    term *= abs(float(xi)) ** e
+                    try:
+                        term *= abs(float(xi)) ** e
+                    except OverflowError:
+                        return math.inf
             total += term
         return total
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError, ParseError, check_tolerance
 from .polynomials import Polynomial
 
 
@@ -63,28 +63,43 @@ class PopInstance:
 
     # -- feasibility -------------------------------------------------------
 
+    def _values(self, u):
+        """(h values, g values) at the point u, or None when u is not finite or
+        a value leaves the float range, which no comparison would flag."""
+        if not np.isfinite(u).all():
+            return None
+        values = [p.eval(u) for p in self.h], [p.eval(u) for p in self.g]
+        return values if all(map(math.isfinite, values[0] + values[1])) else None
+
     def violations(self, point) -> tuple[float, float]:
         """(worst |h_i(u)|, worst max(0, -g_j(u))) at the point; (inf, inf) at a
-        point that is not finite, which no comparison would flag."""
-        u = np.asarray(point, dtype=float)
-        if not np.isfinite(u).all():
+        point that is not finite or where a constraint's value overflows."""
+        values = self._values(np.asarray(point, dtype=float))
+        if values is None:
             return math.inf, math.inf
-        eq = max((abs(p.eval(u)) for p in self.h), default=0.0)
-        ineq = max((max(0.0, -p.eval(u)) for p in self.g), default=0.0)
+        eq = max((abs(v) for v in values[0]), default=0.0)
+        ineq = max((max(0.0, -v) for v in values[1]), default=0.0)
         return eq, ineq
 
     def worst_violation(self, point, tol: float = 1e-8) -> tuple[float, str] | None:
         """The worst constraint violation beyond ``band``, as (amount, label), or None.
 
         The label is ``h[i]`` or ``g[j]``; the first of equally bad constraints
-        wins.  A point that is not finite is reported as (inf, NOT_FINITE).
+        wins.  A point that is not finite, or where a constraint's value or
+        band overflows, is reported as (inf, NOT_FINITE).  Raises ValueError
+        when ``tol`` is not finite and positive.
         """
+        check_tolerance("tol", tol)
         u = np.asarray(point, dtype=float)
-        if not np.isfinite(u).all():
+        values = self._values(u)
+        if values is None:
             return math.inf, NOT_FINITE
-        signed = [(abs(p.eval(u)), f"h[{i}]", p) for i, p in enumerate(self.h)] + \
-            [(-p.eval(u), f"g[{j}]", p) for j, p in enumerate(self.g)]
-        over = [(amount, label) for amount, label, p in signed if amount > band(p, u, tol)]
+        signed = [(abs(v), f"h[{i}]", p) for i, (p, v) in enumerate(zip(self.h, values[0]))] + \
+            [(-v, f"g[{j}]", p) for j, (p, v) in enumerate(zip(self.g, values[1]))]
+        bands = [band(p, u, tol) for _, _, p in signed]
+        if not all(map(math.isfinite, bands)):
+            return math.inf, NOT_FINITE
+        over = [(amount, label) for (amount, label, _), b in zip(signed, bands) if amount > b]
         return max(over, key=lambda v: v[0], default=None)
 
     def is_feasible(self, point, tol: float = 1e-8) -> bool:
@@ -92,7 +107,7 @@ class PopInstance:
         return self.worst_violation(point, tol) is None
 
 
-NOT_FINITE = "point (not finite)"   # worst_violation's label for a NaN or inf coordinate
+NOT_FINITE = "point (not finite)"   # worst_violation's label for a NaN, inf or overflowing point
 
 
 def band(p: Polynomial, point, tol: float) -> float:
@@ -116,6 +131,8 @@ def _poly_to_records(p: Polynomial) -> list:
 
 
 def _poly_from_records(records, nvars: int) -> Polynomial:
+    if not isinstance(records, list):
+        raise ParseError(f"expected a list of polynomial term records, got {records!r}")
     terms = {}
     for rec in records:
         try:
@@ -131,6 +148,12 @@ def _poly_from_records(records, nvars: int) -> Polynomial:
         return Polynomial(nvars, terms)
     except ValueError as exc:   # a negative exponent or a coefficient that is not finite
         raise ParseError(f"bad polynomial term records: {exc}") from exc
+
+
+def _polys_from_list(lists, nvars: int, key: str) -> tuple:
+    if not isinstance(lists, list):
+        raise ParseError(f"'{key}' must be a list of polynomials, got {lists!r}")
+    return tuple(_poly_from_records(r, nvars) for r in lists)
 
 
 def instance_to_dict(inst: PopInstance) -> dict:
@@ -154,10 +177,13 @@ def instance_from_dict(doc: dict) -> PopInstance:
     if nvars < 1:
         raise ParseError(f"nvars must be positive, got {nvars}")
     f = _poly_from_records(doc.get("objective", []), nvars)
-    h = tuple(_poly_from_records(r, nvars) for r in doc.get("equalities", []))
-    g = tuple(_poly_from_records(r, nvars) for r in doc.get("inequalities", []))
+    h = _polys_from_list(doc.get("equalities", []), nvars, "equalities")
+    g = _polys_from_list(doc.get("inequalities", []), nvars, "inequalities")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError(f"'metadata' must be an object, got {metadata!r}")
     try:
-        return PopInstance(f=f, h=h, g=g, metadata=dict(doc.get("metadata", {})))
+        return PopInstance(f=f, h=h, g=g, metadata=dict(metadata))
     except ValueError as exc:   # a constraint that is the zero polynomial
         raise ParseError(f"bad instance: {exc}") from exc
 

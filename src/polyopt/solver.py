@@ -20,22 +20,35 @@ problem itself, so routing never makes a status worse.
 
 X, Z, B and the Schur complement are dense; the coefficients A are not.
 ``_start`` mirrors each block's upper-triangle triplets once per solve
-(``CoeffBlock.both_triangles``) and turns them into three operators: A as
-an (nrows, s*s) matrix, its transpose, and the matrices A_0..A_{nrows-1}
-stacked into an (nrows*s, s) one, cut into row chunks.  A block is held as
-a dense ndarray when nrows*s*s is below ``_DENSE_BELOW`` (there scipy's
-per-call cost outweighs the zeros it skips) and as CSR otherwise.  The
-phases use only ``@``, ``.T`` and ``.reshape`` on them, so one
-``_apply_A``, one ``_apply_At`` and one ``_schur`` serve both kinds.
+(``CoeffBlock.both_triangles``) and turns them into A as an (nrows, s*s)
+matrix and its transpose.  A block is held as a dense ndarray when
+nrows*s*s is below ``_DENSE_BELOW`` (there scipy's per-call cost outweighs
+the zeros it skips) and as CSR otherwise.  The phases use only ``@``,
+``.T`` and ``.reshape`` on them, so one ``_apply_A``, one ``_apply_At``
+and one ``_schur`` serve both kinds.
+
 ``_schur`` forms M_mn = <A_m, (X A_n) Z^{-1}> one chunk of rows n at a
-time, as U_n = A_n X through the chunk of the stacked operator,
-T_n = U_n^T Z^{-1} as one batched dense product, and M[:, chunk] += A T^T:
-2 nrows s^3 dense flops per block instead of the 4 nrows s^3 + 2 nrows^2 s^2
-of dense A (Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997, treat this
-sparsity).  A chunk holds as many rows as keep its U and T within
-``_CHUNK_BYTES`` (1 MiB) each, so a formation needs M plus a few MB
-instead of whole-block arrays of nrows s^2 doubles, and the chunking
-changes no bit of M.
+time, from a plan that ``_start`` makes once per solve (``_plan``).  Only
+r_n rows of A_n are nonzero (in the SOS form Gram row p meets one row per
+monomial, so sum_n r_n = s^2), and so only r_n rows of U_n = A_n X.  A
+CSR block's chunk therefore stacks just those rows of each A_n, padded
+with empty rows to the chunk's largest r_n, and names the rows of Z^{-1}
+that match them; T_n = U_n^T Z^{-1} is one batched dense product over
+these r_n-row operands, and M's columns get A T^T.  That is
+2 s^2 sum_n (padded r_n) dense flops per block instead of 2 nrows s^3
+(Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997, treat this sparsity):
+at Motzkin level 6 the 84-block stacks 7,402 rows instead of 38,220, and
+its share of a formation falls from 539 to 105 MFlop.  The rows are taken
+in one order for all blocks, the argsort of r_n in the largest CSR block,
+so that the rows of a chunk have nearly the same r_n; M is formed with
+its columns in that order and put back in place by its symmetrization.
+The padding adds exact zeros and every other term is summed in the same
+order as over all s rows, so M is the same to the bit.  A dense block
+stacks all s rows of each A_n, and so does a CSR block whose padded rows
+would be more than half of them; a problem whose CSR blocks each fit in
+one chunk is not permuted.  A chunk holds as many rows as keep its T
+within ``_CHUNK_BYTES`` (1 MiB), so a formation needs M plus a few MB
+instead of whole-block arrays of nrows s^2 doubles.
 
 The method is infeasible-start path following with the HKM search direction
 and a Mehrotra predictor-corrector step.  ``solve`` is a short loop over
@@ -111,7 +124,6 @@ which makes runs reproducible for identical inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +131,7 @@ from scipy.linalg import qr, solve_triangular
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs, dtrtrs
 from scipy.sparse import csr_array
 
+from .errors import check_tolerance
 from .sdp import SdpProblem
 
 STATUS_OPTIMAL = "optimal"
@@ -134,7 +147,7 @@ _MAX_REFINE = 10      # cap on KKT refinement rounds per solve
 _MAX_BACKOFF = 30     # cap on step halvings that look for a PD trial iterate
 _DIVERGENCE = 1e5     # score growth past a near-optimal best iterate that ends a run
 _DENSE_BELOW = 8192   # nrows*s*s under which a block's A is held dense, not as CSR
-_CHUNK_BYTES = 1 << 20  # bytes of U, and of T, per chunk of rows that ``_schur`` forms
+_CHUNK_BYTES = 1 << 20  # bytes of T (U takes no more) per chunk of rows that ``_schur`` forms
 _CHOL_SHIFT = 10.0 * np.finfo(float).eps  # times nrows: the retry's shift of K's unit diagonal
 
 
@@ -149,10 +162,8 @@ class SolverOptions:
         tolerance is not finite and positive (a NaN tolerance is never met)."""
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        for name in ("tol_gap", "tol_feas"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        check_tolerance("tol_gap", self.tol_gap)
+        check_tolerance("tol_feas", self.tol_feas)
         return self
 
 
@@ -185,7 +196,8 @@ class _Data:
     ntotal: int           # sum of the block sizes
     a_ops: list           # per block: A as an (nrows, s*s) operator, dense or CSR
     a_ts: list            # its transpose, (s*s, nrows)
-    a_stacks: list        # per block: (lo, hi, A_lo..A_{hi-1} stacked) chunks, see ``_operators``
+    a_chunks: list        # per block: the (lo, hi, stack, gather) chunks of ``_chunks``
+    position: np.ndarray | None  # where ``_schur`` forms column n of M; None: at n
     b: np.ndarray
     bmat: np.ndarray
     bbt: np.ndarray | None  # B B^T, fixed for the solve; None without free columns
@@ -302,31 +314,113 @@ def _pd_step(blocks, deltas, chols):
 
 
 def _operators(nrows: int, s: int, rows, cols, vals):
-    """(A, A^T, stack chunks) of one block from both triangles' triplets.
-    A and A^T are (nrows, s*s) and (s*s, nrows); the chunks are
-    ``(lo, hi, rows)`` with ``rows`` the ((hi - lo)*s, s) slice of
-    A_0..A_{nrows-1} stacked that holds A_lo..A_{hi-1}: as many matrices as
-    keep U and T of a chunk within ``_CHUNK_BYTES`` in ``_schur``, so a
-    block under that budget is one chunk.  All are views of one dense array
-    when the block is small enough that scipy's per-call cost would outweigh
-    the zeros, else A and the stack are CSR and A^T is ``a.T``, the CSC view
-    over A's arrays."""
+    """(A, A^T) of one block from both triangles' triplets, (nrows, s*s)
+    and (s*s, nrows): views of one dense array when the block is small
+    enough that scipy's per-call cost would outweigh the zeros, else A is
+    CSR and A^T is ``a.T``, the CSC view over A's arrays."""
     if nrows * s * s < _DENSE_BELOW:
         a = np.zeros((nrows, s * s))
         a[rows, cols] = vals
-        stack = a.reshape(nrows * s, s)
-    else:
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-        a = csr_array((vals, cols, indptr), shape=(nrows, s * s))
-        # row (m, p) of the stack holds row p of A_m; the triplet order is kept
-        stack_rows = rows * s + cols // s
-        indptr = np.zeros(nrows * s + 1, dtype=np.int64)
-        np.cumsum(np.bincount(stack_rows, minlength=nrows * s), out=indptr[1:])
-        stack = csr_array((vals, cols % s, indptr), shape=(nrows * s, s))
-    step = max(1, _CHUNK_BYTES // (8 * s * s))
-    bounds = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
-    return a, a.T, [(lo, hi, stack[lo * s:hi * s]) for lo, hi in bounds]
+        return a, a.T
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+    a = csr_array((vals, cols, indptr), shape=(nrows, s * s))
+    return a, a.T
+
+
+def _chunk_rows(s: int) -> int:
+    """How many rows n ``_schur`` forms at a time in a block of size s: as
+    many as keep their T_n, s*s doubles each, within ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // (8 * s * s))
+
+
+def _nonzero_rows(s: int, rows, cols):
+    """(keys, inverse): m*s + p for each nonzero row p of each A_m, in
+    increasing order, and the index into keys of each triplet's row.  The
+    triplets are sorted by (m, p, q), so a key starts where m*s + p changes."""
+    key = rows * s + cols // s
+    starts = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    return key[starts], np.cumsum(starts) - 1
+
+
+def _chunks(a, s: int, triplets, nonzero, order, position):
+    """The ``(lo, hi, stack, gather)`` chunks of one block: ``_schur`` forms
+    the columns of M at positions lo..hi-1 of ``order`` from each, those of
+    rows order[lo:hi] (rows lo..hi-1 when ``order`` is None; ``position``
+    is its inverse).
+
+    A CSR block's ``stack`` holds only the r_n nonzero rows of each A_n, in
+    their order, padded with empty rows to the chunk's largest r_n, and
+    ``gather``, (hi - lo, that r_n), names the row of A_n, and so of
+    Z^{-1}, that each is; a padding row names row 0.  A dense block's
+    ``stack``, and a CSR block's where the padded rows would be more than
+    half of all, is its A_n stacked, s rows each, and ``gather`` is None."""
+    nrows = a.shape[0]
+    step = _chunk_rows(s)
+    starts = np.arange(0, nrows, step)
+    widths = np.minimum(step, nrows - starts)
+    if nonzero is None:
+        cube = a.reshape(nrows, s, s)
+        stack = (cube if order is None else cube[order]).reshape(nrows * s, s)
+        return [(lo, lo + width, stack[lo * s:(lo + width) * s], None)
+                for lo, width in zip(starts.tolist(), widths.tolist())]
+    _, cols, vals = triplets
+    keys, inverse = nonzero
+    owner, row = np.divmod(keys, s)
+    counts = np.bincount(owner, minlength=nrows)
+    rank = np.arange(len(keys)) - (np.cumsum(counts) - counts)[owner]
+    pos = owner if position is None else position[owner]
+    pad = np.maximum.reduceat(counts if order is None else counts[order], starts)
+    compact = 2 * int(widths @ pad) <= nrows * s
+    if not compact:
+        # padding would keep more than half the rows, and gathering the rows
+        # of Z^{-1} would cost more than it saves: stack every row of A_n
+        pad, rank = np.full(len(starts), s), row
+    offsets = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(widths * pad, out=offsets[1:])
+    chunk = pos // step
+    slot = offsets[chunk] + (pos - starts[chunk]) * pad[chunk] + rank
+    gather = None
+    if compact:
+        gather = np.zeros(offsets[-1], dtype=np.intp)
+        gather[slot] = row
+    entry = slot[inverse]
+    if position is not None:
+        # a stable sort keeps each row's entries in the triplet order; in
+        # the natural order they are sorted already
+        by_slot = np.argsort(entry, kind="stable")
+        entry, cols, vals = entry[by_slot], cols[by_slot], vals[by_slot]
+    indptr = np.zeros(offsets[-1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entry, minlength=offsets[-1]), out=indptr[1:])
+    stack = csr_array((vals, cols % s, indptr), shape=(offsets[-1], s))
+    return [(lo, lo + width, stack[begin:end],
+             None if gather is None else gather[begin:end].reshape(width, -1))
+            for lo, width, begin, end in zip(starts.tolist(), widths.tolist(),
+                                             offsets[:-1].tolist(), offsets[1:].tolist())]
+
+
+def _plan(sizes, nrows: int, a_ops, full):
+    """(chunks, position): each block's chunks (``_chunks``) and where
+    ``_schur`` forms each column of M, None when in place.
+
+    The order is the argsort of r_n, the number of nonzero rows of A_n, in
+    the largest CSR block, so that the rows of a chunk have nearly the
+    same r_n and little padding; r_n follows nearly the same pattern in
+    every block.  It is used only when some CSR block has more than one
+    chunk: with one chunk per block it would change no padding and cost a
+    gather in the symmetrization."""
+    nonzero = [None if isinstance(a, np.ndarray) else _nonzero_rows(s, rows, cols)
+               for a, s, (rows, cols, _) in zip(a_ops, sizes, full)]
+    csr = [(s, nz) for s, nz in zip(sizes, nonzero) if nz is not None]
+    order = position = None
+    if any(nrows > _chunk_rows(s) for s, _ in csr):
+        s, (keys, _) = max(csr, key=lambda item: item[0])
+        order = np.argsort(np.bincount(keys // s, minlength=nrows), kind="stable")
+        position = np.empty(nrows, dtype=np.intp)
+        position[order] = np.arange(nrows)
+    return [_chunks(a, s, t, nz, order, position)
+            for a, s, t, nz in zip(a_ops, sizes, full, nonzero)], position
 
 
 def _independent_columns(bmat, c_free):
@@ -361,7 +455,8 @@ def _start(prob: SdpProblem, opts: SolverOptions):
     subset of B is kept; ``solve`` reports the dropped free values as 0."""
     sizes = prob.block_sizes
     full = [blk.both_triangles() for blk in prob.a_blocks]
-    a_ops, a_ts, a_stacks = zip(*(_operators(prob.nrows, s, *t) for s, t in zip(sizes, full)))
+    a_ops, a_ts = zip(*(_operators(prob.nrows, s, *t) for s, t in zip(sizes, full)))
+    a_chunks, position = _plan(sizes, prob.nrows, a_ops, full)
     b, bmat, c_free = prob.rhs, prob.b_free, prob.c_free
     free_cols, null_moves_c = _independent_columns(bmat, c_free)
     if free_cols is not None:
@@ -378,9 +473,9 @@ def _start(prob: SdpProblem, opts: SolverOptions):
     bbt, bbt_mean = None, 0.0
     if bmat.shape[1]:
         bbt, bbt_mean = bmat @ bmat.T, max(float((bmat ** 2).sum()) / prob.nrows, 1e-300)
-    data = _Data(sizes, prob.nrows, bmat.shape[1], sum(sizes), a_ops, a_ts, a_stacks, b, bmat,
-                 bbt, bbt_mean, c_free, prob.c_blocks, free_cols, null_moves_c, rho_p, b_scale,
-                 c_scale, 1e-2 * opts.tol_feas * min(b_scale, c_scale))
+    data = _Data(sizes, prob.nrows, bmat.shape[1], sum(sizes), a_ops, a_ts, a_chunks, position,
+                 b, bmat, bbt, bbt_mean, c_free, prob.c_blocks, free_cols, null_moves_c, rho_p,
+                 b_scale, c_scale, 1e-2 * opts.tol_feas * min(b_scale, c_scale))
     # the Cholesky factor of rho I is sqrt(rho) I, bit for bit
     eyes = [np.eye(s) for s in sizes]
     return data, _Iterate([rho_p * e for e in eyes], [rho_d * e for e in eyes],
@@ -438,39 +533,49 @@ def _ray(data: _Data, it: _Iterate, start_err_p: float):
 def _schur(data: _Data, x_blocks, z_inv):
     """The HKM Schur complement M_mn = sum_j <A_{j,m}, X_j A_{j,n} Z_j^{-1}>.
 
-    Per block, the columns of M are formed a chunk of rows n = lo..hi-1 at
-    a time (``_Data.a_stacks``): U_n = A_n X through the chunk's slice of
-    the stacked operator (sparse work), then T_n = U_n^T Z^{-1} =
-    (X A_n) Z^{-1} as one batched dense product, and M[:, lo:hi] += A T^T
-    with A as held.  A chunk's U and T take at most ``_CHUNK_BYTES`` each,
-    so they and the C-order copy of T^T that the product with A makes stay
-    in cache, where whole-block arrays of nrows s^2 doubles each would not.
-    Every entry of M is the same sum in the same order as with one chunk,
-    so M does not depend on the chunk size.  Per block that is 2 nrows s^3
-    dense flops plus O(nnz (s + nrows)) sparse ones.  The product is
-    associated as (X A_n) Z^{-1}, as it was with dense A; the free-variable
-    endgame is sensitive enough to rounding that X (A_n Z^{-1}) leaves
-    other corpus levels short of the tolerances.
+    Per block, the columns of M are formed a chunk at a time
+    (``_Data.a_chunks``, see ``_chunks``): U_n = A_n X over the rows that
+    the chunk stacks (sparse work), T_n = U_n^T Z^{-1} = (X A_n) Z^{-1} as
+    one batched product with the matching rows of Z^{-1} (all of Z^{-1}
+    when the chunk stacks all s rows), and the chunk's columns of M get
+    A T^T with A as held.  A zero row of U_n only adds exact zeros to
+    T_n, and the other terms are summed in the order of the rows, so
+    leaving out zero rows and padding with them change no bit of M;
+    neither does the chunk size.  Per block that is 2 s^2 sum_n (padded
+    r_n) dense flops, at most 2 nrows s^3, plus O(nnz (s + nrows)) sparse
+    ones.  The product is associated as (X A_n) Z^{-1}, as it was with
+    dense A; the free-variable endgame is sensitive enough to rounding
+    that X (A_n Z^{-1}) leaves other corpus levels short of the
+    tolerances.
 
-    M is then symmetrized in place, one pair of square tiles (I, J), I <= J,
-    at a time, each entry becoming (M_ij + M_ji) / 2 as in ``_sym`` but with
-    a temporary of at most ``_CHUNK_BYTES`` instead of a second M.
+    Row i of the array holds column i of M, or column order[i] when
+    ``_plan`` permuted the rows (``_Data.position`` is the inverse), so a
+    chunk's columns are one contiguous write.  The array is then
+    symmetrized in place, a stripe of columns lo..hi-1 at a time, each
+    entry becoming (M_ij + M_ji) / 2 as in ``_sym``: the stripe reads the
+    entries it needs at their formed positions, and the columns after it
+    only after it is written, so the same pass puts M back in place, with
+    temporaries of at most ``_CHUNK_BYTES`` instead of a second M.  The
+    result is symmetric, so it is its own transpose.
     """
-    nrows = data.nrows
+    nrows, position = data.nrows, data.position
     schur = np.zeros((nrows, nrows))
-    for a, chunks, s, xb, zi in zip(data.a_ops, data.a_stacks, data.sizes, x_blocks, z_inv):
-        for lo, hi, rows in chunks:
-            u = (rows @ xb).reshape(hi - lo, s, s)
-            t = np.matmul(u.transpose(0, 2, 1), zi).reshape(hi - lo, -1)
-            schur[:, lo:hi] += a @ t.T
-    tile = max(1, math.isqrt(_CHUNK_BYTES // 8))
-    for i in range(0, nrows, tile):
-        for j in range(i, nrows, tile):
-            upper, lower = schur[i:i + tile, j:j + tile], schur[j:j + tile, i:i + tile]
-            mean = upper + lower.T
-            mean /= 2.0
-            upper[...] = mean
-            lower[...] = mean.T
+    for a, chunks, s, xb, zi in zip(data.a_ops, data.a_chunks, data.sizes, x_blocks, z_inv):
+        for lo, hi, stack, gather in chunks:
+            u = (stack @ xb).reshape(hi - lo, -1, s)
+            t = np.matmul(u.transpose(0, 2, 1), zi if gather is None else zi.take(gather, axis=0))
+            schur[lo:hi] += (a @ t.reshape(hi - lo, -1).T).T
+    step = max(1, _CHUNK_BYTES // (8 * nrows))
+    for lo in range(0, nrows, step):
+        hi = min(lo + step, nrows)
+        # mean[n - lo, m - lo] = (M_mn + M_nm) / 2 for n >= lo, lo <= m < hi
+        if position is None:
+            mean = schur[lo:, lo:hi] + schur[lo:hi, lo:].T
+        else:
+            mean = schur[position[lo:], lo:hi] + schur[position[lo:hi], lo:].T
+        mean /= 2.0
+        schur[:lo, lo:hi] = schur[lo:hi, :lo].T
+        schur[lo:, lo:hi] = mean
     return schur
 
 

@@ -40,23 +40,29 @@ returns it.  That makes 974 solve, 974 problem, 614 artifact and 338 audit
 hashes (2,900 in all).
 
 BLAS is pinned to one thread, since the reduction order of more threads
-changes the rounding.  ``polyopt`` is imported from ``PYTHONPATH``, so
-pointing it at another checkout's ``src`` hashes that checkout's solver with
-the same problems.  The file has one ``name hash status iterations`` line
-per solve and one ``name hash`` line per problem, artifact or audit hash.  With
+changes the rounding; ``--threads N`` pins it to N instead, so that a
+baseline and a comparison made at the same N check that N.  ``polyopt`` is
+imported from ``PYTHONPATH``, so pointing it at another checkout's ``src``
+hashes that checkout's solver with the same problems.  The file has one
+``name hash status iterations`` line per solve and one ``name hash`` line
+per problem, artifact or audit hash.  With
 ``--compare FILE`` the script names every hash that differs from (or is
 missing in) FILE, prints how a differing solve moved (status and
 iterations, FILE's then this run's), and exits with status 1 if any hash
 differs.
 """
 
+import argparse
 import os
 import sys
 
+# the thread count must be set before numpy loads BLAS
+_pre = argparse.ArgumentParser(add_help=False)
+_pre.add_argument("--threads", type=int, default=1)
+_threads = str(_pre.parse_known_args()[0].threads)
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ[_var] = _threads
 
-import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 
@@ -161,6 +167,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the hashes to this file")
     parser.add_argument("--compare", help="name the solves whose hashes differ from this file's")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="BLAS threads (default 1), read before numpy is imported")
     args = parser.parse_args(argv)
     hashes = {}   # name -> [hash, status, iterations] for a solve, [hash] for the others
     iterations = 0

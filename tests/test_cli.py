@@ -126,8 +126,15 @@ class TestInputErrors:
         listed.write_text("[1, 2]")
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe{")
-        return {"quad": quad_file, "zero": str(zero), "list": str(listed),
-                "binary": str(binary)}
+        files = {"quad": quad_file, "zero": str(zero), "list": str(listed),
+                 "binary": str(binary)}
+        # fields of the wrong JSON type
+        for key, value in [("objective", 5), ("equalities", 5), ("inequalities", [5]),
+                           ("metadata", 5)]:
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(dict(doc, **{key: value})))
+            files[key] = str(path)
+        return files
 
     @pytest.mark.parametrize("argv, message", [
         (["gallery", "nosuch"], "unknown gallery instance"),
@@ -144,10 +151,21 @@ class TestInputErrors:
         (["solve", "quad", "--tol-gap", "nan"], "tol_gap must be finite and positive"),
         (["certify", "quad", "--tol-feas", "0"], "tol_feas must be finite and positive"),
         (["hierarchy", "quad", "--tol-gap=-1e-8"], "tol_gap must be finite and positive"),
+        (["solve", "objective"], "expected a list of polynomial term records, got 5"),
+        (["solve", "equalities"], "'equalities' must be a list of polynomials, got 5"),
+        (["hierarchy", "inequalities"], "expected a list of polynomial term records, got 5"),
+        (["solve", "metadata"], "'metadata' must be an object, got 5"),
+        (["check-local", "quad", "--point", "5,5", "--tol-active", "nan"],
+         "tol must be finite and positive, got nan"),
+        (["hierarchy", "quad", "--tol-stagnation", "nan"],
+         "stagnation_tol must be finite and positive, got nan"),
     ], ids=["gallery-unknown", "solve-ball-0", "certify-ball-neg", "hierarchy-ball-0",
             "solve-ball-nan", "hierarchy-level-range", "solve-zero-constraint",
             "certify-zero-constraint", "verify-json-list", "solve-binary-file",
-            "solve-tol-gap-nan", "certify-tol-feas-0", "hierarchy-tol-gap-neg"])
+            "solve-tol-gap-nan", "certify-tol-feas-0", "hierarchy-tol-gap-neg",
+            "solve-objective-int", "solve-equalities-int", "hierarchy-inequality-int",
+            "solve-metadata-int", "check-local-tol-active-nan",
+            "hierarchy-tol-stagnation-nan"])
     def test_exits_2_with_one_line(self, files, tmp_path, monkeypatch, argv, message, capsys):
         monkeypatch.chdir(tmp_path)
         argv = [files.get(a, a) for a in argv]
@@ -231,10 +249,11 @@ class TestCheckLocalCommand:
     def test_bad_point(self, quad_file, capsys):
         assert run_cli("check-local", quad_file, "--point", "abc") == 2
 
-    @pytest.mark.parametrize("point", ["nan,0", "0,0,0", "[[0, 0]]"])
+    @pytest.mark.parametrize("point", ["nan,0", "1e200,1e200", "0,0,0", "[[0, 0]]"])
     def test_point_rejected_as_input_error(self, quad_file, point, capsys):
-        # no constraint comparison flags a NaN; a point of the wrong shape is
-        # an input error, not a solver failure (exit 3): no solver runs
+        # no constraint comparison flags a NaN, or a value that overflows; a
+        # point of the wrong shape is an input error, not a solver failure
+        # (exit 3): no solver runs
         assert run_cli("check-local", quad_file, "--point", point) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: point ")
@@ -263,6 +282,18 @@ class TestCertifyVerify:
             doc["sigma"][0]["gram"] = bad
             cert.write_text(json.dumps(doc))
             assert run_cli("verify", str(cert)) == 4
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-6"])
+    def test_verify_tolerance_must_be_finite_and_positive(self, quad_file, tmp_path, tol,
+                                                          capsys):
+        # a NaN tolerance would fail every certificate (exit 4)
+        cert = tmp_path / "cert.json"
+        assert run_cli("certify", quad_file, "--out", str(cert)) == 0
+        capsys.readouterr()
+        assert run_cli("verify", str(cert), f"--tol-cert={tol}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: tol must be finite and positive")
 
     def test_verify_bad_file(self, tmp_path):
         bad = tmp_path / "bad.json"

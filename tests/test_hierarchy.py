@@ -81,6 +81,9 @@ class TestDriver:
         for bad in (dict(tol_gap=float("nan")), dict(tol_feas=0.0), dict(tol_gap=-1e-8)):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 run_hierarchy(inst, solver_options=SolverOptions(**bad))
+        # a NaN stagnation tolerance would never stop a run
+        with pytest.raises(ValueError, match="stagnation_tol"):
+            run_hierarchy(inst, stagnation_tol=float("nan"))
         with pytest.raises(LevelError, match="below the starting level"):
             run_hierarchy(inst, k_min=3, k_max=2)
         assert builds == []

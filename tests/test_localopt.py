@@ -75,6 +75,29 @@ class TestFeasibility:
         assert inst.violations(point) == (math.inf, math.inf)
         assert inst.violations([0.0, 0.0]) == (0.0, 0.0)
 
+    def test_overflowing_point_is_never_feasible(self):
+        # a finite point whose constraint value leaves the float range reads
+        # like one that is not finite; evaluation gives inf, not OverflowError
+        inst = PopInstance(f=poly(2, {(1, 0): 1.0}), g=(UNIT_BALL_2,))
+        point = [1e200, 1e200]
+        assert UNIT_BALL_2.eval(point) == -math.inf
+        assert UNIT_BALL_2.eval_abs(point) == math.inf
+        assert inst.worst_violation(point) == (math.inf, NOT_FINITE)
+        assert not inst.is_feasible(point)
+        assert inst.violations(point) == (math.inf, math.inf)
+        with pytest.raises(FeasibilityError, match="overflows"):
+            active_set(inst, point)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+    def test_feasibility_tolerance_must_be_finite_and_positive(self, tol):
+        # a NaN band flags no constraint: (5, 5) would pass as feasible
+        inst = PopInstance(f=poly(2, {(1, 0): 1.0}), g=(UNIT_BALL_2,))
+        for check in (inst.worst_violation, inst.is_feasible,
+                      lambda point, tol: active_set(inst, point, tol),
+                      lambda point, tol: audit_point(inst, point, tol)):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                check([5.0, 5.0], tol)
+
     def test_zero_constraint_rejected(self):
         with pytest.raises(ValueError, match=r"g\[1\] is the zero polynomial"):
             PopInstance(f=poly(2, {(1, 0): 1.0}), g=(UNIT_BALL_2, Polynomial.zero(2)))

@@ -298,16 +298,18 @@ class TestKernels:
 
     def test_chunks_match_one_chunk(self, monkeypatch):
         # Motzkin level 6: 455 rows and CSR blocks 84/56, formed 18 and 41
-        # rows at a time with a partial last chunk; M is the same to the bit
+        # rows at a time in the order of r_n with a partial last chunk; M
+        # is the same to the bit as from one chunk per block in place
         prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 6)
         data, _ = _start(prob, SolverOptions())
-        for chunks in data.a_stacks:
-            widths = [hi - lo for lo, hi, _ in chunks]
+        assert data.position is not None
+        for chunks in data.a_chunks:
+            widths = [hi - lo for lo, hi, _, _ in chunks]
             assert len(widths) > 2 and widths[-1] < widths[0]
         monkeypatch.setattr(solver_module, "_CHUNK_BYTES",
                             8 * prob.nrows * max(prob.block_sizes) ** 2)
         whole, _ = _start(prob, SolverOptions())
-        assert [len(chunks) for chunks in whole.a_stacks] == [1, 1]
+        assert [len(chunks) for chunks in whole.a_chunks] == [1, 1] and whole.position is None
         it = random_iterate(prob, np.random.default_rng(37))
         assert np.array_equal(_schur(data, it.x, it.z), _schur(whole, it.x, it.z))
 
@@ -406,6 +408,99 @@ class TestKernels:
 # columns.  Which of them lands just above the feasibility tolerance depends
 # on the BLAS reduction order, so each is solved under both 1 and 2 OpenBLAS
 # threads.
+def eighth_power_ball_problem():
+    """SOS level 4 of a quadratic over 1 - x1^8 - x2^8 >= 0: 45 rows, a
+    15-block held as CSR and the constraint's 1-block held dense."""
+    g = Polynomial(2, {(0, 0): 1.0, (8, 0): -1.0, (0, 8): -1.0})
+    return build_sos_relaxation(PopInstance(f=QUADRATIC.f, g=(g,)), 4)
+
+
+# (builder, chunk budget in bytes or None for ``_CHUNK_BYTES``)
+SCHUR_CASES = {
+    "one-chunk-csr": (lambda: build_sos_relaxation(gallery_instance("motzkin-ball"), 3), None),
+    "permuted-csr": (lambda: build_sos_relaxation(gallery_instance("motzkin-ball"), 5), None),
+    "moment-linkless": (lambda: dataclasses.replace(
+        build_moment_relaxation(gallery_instance("motzkin-ball"), 4), dual_of=None), None),
+    "dense": (lambda: build_sos_relaxation(
+        random_instance(2, 2, np.random.default_rng(101)), 1), None),
+    "permuted-with-dense": (eighth_power_ball_problem, 1 << 14),
+}
+
+
+class TestSchur:
+    """``_schur`` over the nonzero rows of each A_n against the dense sum
+    M_mn = sum_j tr(A_{j,m} X_j A_{j,n} Z_j^{-1}) from ``CoeffBlock.to_dense()``."""
+
+    @staticmethod
+    def formed(case, monkeypatch):
+        build, budget = SCHUR_CASES[case]
+        prob = build()
+        if budget is not None:
+            monkeypatch.setattr(solver_module, "_CHUNK_BYTES", budget)
+        data, _ = _start(prob, SolverOptions())
+        it = random_iterate(prob, np.random.default_rng(43))
+        return prob, data, it, _schur(data, it.x, it.z)
+
+    @pytest.mark.parametrize("case", SCHUR_CASES)
+    def test_matches_the_dense_sum(self, case, monkeypatch):
+        prob, data, it, got = self.formed(case, monkeypatch)
+        want = np.zeros((prob.nrows, prob.nrows))
+        for blk, x, zi in zip(prob.a_blocks, it.x, it.z):
+            a = blk.to_dense()
+            t = np.matmul(np.matmul(x, a), zi)
+            want += np.einsum("mpq,nqp->mn", a, t)
+        want = (want + want.T) / 2.0
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("case", SCHUR_CASES)
+    def test_plan(self, case, monkeypatch):
+        prob, data, _, _ = self.formed(case, monkeypatch)
+        nonzero_rows = [(blk.to_dense() != 0).any(axis=2).sum(axis=1) for blk in prob.a_blocks]
+        order = np.arange(prob.nrows)
+        if data.position is not None:
+            order = np.argsort(data.position)
+        for a, chunks, s, counts in zip(data.a_ops, data.a_chunks, data.sizes, nonzero_rows):
+            # the chunks cover every row once, in the order M is formed in
+            assert [lo for lo, _, _, _ in chunks] == [0] + [hi for _, hi, _, _ in chunks[:-1]]
+            assert chunks[-1][1] == prob.nrows
+            for lo, hi, stack, gather in chunks:
+                if gather is None:
+                    assert stack.shape == ((hi - lo) * s, s)
+                else:
+                    # padded to the chunk's largest r_n, and only to it
+                    assert gather.shape == (hi - lo, counts[order[lo:hi]].max())
+        if case == "one-chunk-csr":
+            assert data.position is None and [len(c) for c in data.a_chunks] == [1, 1]
+            assert all(scipy.sparse.issparse(a) for a in data.a_ops)
+        elif case.startswith("permuted"):
+            assert data.position is not None
+            assert any(len(c) > 1 for c in data.a_chunks)
+        elif case == "moment-linkless":
+            assert max(counts.max() for counts in nonzero_rows) == 2
+            assert all(g.shape[1] <= 2 for c in data.a_chunks for _, _, _, g in c)
+        if case in ("dense", "permuted-with-dense"):
+            assert any(isinstance(a, np.ndarray) for a in data.a_ops)
+        # rows with no entries in a block: the moment form's y_0 row has
+        # none in any, and the 1-block has entries only in g's three rows
+        if case == "moment-linkless":
+            assert sum(nonzero_rows)[0] == 0
+        if case == "permuted-with-dense":
+            assert np.count_nonzero(nonzero_rows[1]) == 3
+
+    def test_permuted_formation_is_bit_identical(self, monkeypatch):
+        # the permuted chunks, the dense block's reordered stack and the
+        # symmetrization that restores the order change no bit of M
+        prob = eighth_power_ball_problem()
+        data, _ = _start(prob, SolverOptions())
+        it = random_iterate(prob, np.random.default_rng(47))
+        assert data.position is None
+        monkeypatch.setattr(solver_module, "_CHUNK_BYTES", 1 << 14)
+        permuted, _ = _start(prob, SolverOptions())
+        assert permuted.position is not None
+        assert np.array_equal(_schur(permuted, it.x, it.z), _schur(data, it.x, it.z))
+
+
 HARD_LEVELS_SCRIPT = """
 import dataclasses
 import json
