@@ -1,4 +1,4 @@
-"""Sparse polynomials: construction, calculus, evaluation, text round trips.
+"""Sparse polynomials: construction, calculus, evaluation, text form.
 
 Run with:  python3 demos/01_polynomials_and_bases.py
 """
@@ -14,8 +14,8 @@ x1 = Polynomial.variable(2, 0)
 x2 = Polynomial.variable(2, 1)
 g = 2.0 * x1 ** 2 + x2 ** 2 + x1 * x2 - x1 - x2
 
-h = Polynomial.from_text("2.0 * x1^2 + 1.0 * x2^2 + 1.0 * x1^1 x2^1 "
-                         "+ -1.0 * x1^1 + -1.0 * x2^1", 2)
+terms = [((2, 0), 2.0), ((0, 2), 1.0), ((1, 1), 1.0), ((1, 0), -1.0), ((0, 1), -1.0)]
+h = sum((Polynomial.monomial(2, m, c) for m, c in terms), Polynomial.zero(2))
 
 print("all three builds agree:", f == g == h)
 print("f =", f)
@@ -43,6 +43,5 @@ print("value at (1,1,1)/sqrt(3):", m.eval([s, s, s]))
 b = basis(3, 2)
 print("\nbasis(3, 2) has", len(b), "monomials:", list(b))
 
-# Text form round-trips exactly (repr of the float coefficients).
-assert Polynomial.from_text(m.to_text(), 3) == m
-print("\ntext round trip exact:", True)
+# The text form writes each coefficient as its exact float (repr).
+print("\ntext form of f:", f.to_text())

@@ -35,7 +35,7 @@ EXIT_UNVERIFIED = 4
 def _solver_options(args) -> SolverOptions:
     try:
         return SolverOptions(tol_gap=args.tol_gap, tol_feas=args.tol_feas,
-                             max_iter=args.max_iter).validate()
+                             max_iter=args.max_iter)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -191,20 +191,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random_ensemble(args) -> int:
-    for flag, value, least in (("--nvars", args.nvars, 1), ("--degree", args.degree, 0),
-                               ("--count", args.count, 0), ("--seed", args.seed, 0),
-                               ("--equalities", args.equalities, 0),
-                               ("--level-budget", args.level_budget, 0),
-                               ("--workers", args.workers, 1)):
-        if value < least:
-            raise ParseError(f"{flag} must be at least {least}, got {value}")
-    if args.equalities > args.nvars:
-        # more random linear equalities than variables have no common solution
-        raise ParseError(f"--equalities {args.equalities} exceeds --nvars {args.nvars}")
-    summary = run_ensemble(nvars=args.nvars, degree=args.degree, count=args.count,
-                           seed=args.seed, n_equalities=args.equalities,
-                           level_budget=args.level_budget, workers=args.workers,
-                           dump_dir=args.dump_dir)
+    try:
+        summary = run_ensemble(nvars=args.nvars, degree=args.degree, count=args.count,
+                               seed=args.seed, n_equalities=args.equalities,
+                               level_budget=args.level_budget, workers=args.workers,
+                               dump_dir=args.dump_dir)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     _emit(args, summary.to_dict(), summary.table())
     return EXIT_OK
 
@@ -327,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FeasibilityError, LevelError, ToleranceError, FileNotFoundError) as exc:
+    except (ParseError, FeasibilityError, LevelError, ToleranceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PolyOptError as exc:

@@ -52,10 +52,13 @@ def random_instance(nvars: int, degree: int, rng,
 
     Equalities are redrawn until the affine subspace actually meets the ball,
     so every returned instance is feasible; conditioning on feasibility keeps
-    the coefficient law absolutely continuous.  More equalities than
-    variables raise ValueError before anything is drawn: random linear
-    equalities in that number have no common solution.
+    the coefficient law absolutely continuous.  A negative number of
+    equalities, or more equalities than variables, raises ValueError before
+    anything is drawn: random linear equalities in that number have no
+    common solution.
     """
+    if n_equalities < 0:
+        raise ValueError(f"n_equalities must be at least 0, got {n_equalities}")
     if n_equalities > nvars:
         raise ValueError(f"{n_equalities} random linear equalities in {nvars} variables "
                          "have no common solution")
@@ -145,9 +148,6 @@ class EnsembleSummary:
             return 0.0
         return sum(1 for r in self.results if _meets(r, key)) / len(self.results)
 
-    def all_conditions_fraction(self) -> float:
-        return self.fraction("all_conditions")
-
     def failures(self) -> list:
         """The results that miss a condition or carry an error, without live artifacts."""
         return [{k: v for k, v in r.items() if not k.startswith("_")}
@@ -194,7 +194,14 @@ def run_ensemble(nvars: int, degree: int, count: int, seed: int,
     audit) are dumped as JSON into ``dump_dir`` when given.  With
     ``keep_artifacts`` (serial only) each result also carries the live
     instance and hierarchy run under the keys ``_instance`` / ``_run``.
+    A ``count``, ``seed`` or ``level_budget`` below 0 or ``workers`` below 1
+    raises ValueError before any instance is drawn; ``random_instance``
+    checks ``nvars``, ``degree`` and ``n_equalities`` as it draws.
     """
+    for name, value, least in (("count", count, 0), ("seed", seed, 0),
+                               ("level_budget", level_budget, 0), ("workers", workers, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     summary = EnsembleSummary(count=count, seed=seed, nvars=nvars, degree=degree,
                               n_equalities=n_equalities, level_budget=level_budget)
     args = [(i, seed, nvars, degree, n_equalities, level_budget) for i in range(count)]

@@ -111,8 +111,8 @@ def run_hierarchy(inst: PopInstance,
     ``certificate_k<level>.json``.  ``stagnation_tol`` is the relative
     increase below which a level counts as stagnant; the default sits under
     the solver tolerance, so stagnation stops are rare unless the caller
-    loosens it.  Options that ``SolverOptions.validate`` rejects and a
-    ``stagnation_tol`` that is not finite and positive raise ValueError, and
+    loosens it.  A ``stagnation_tol`` that is not finite and positive raises
+    ValueError (the solver options were checked when they were made), and
     a ``k_max`` below ``k_min`` raises LevelError, before any level is built.
     """
     min_k = inst.min_level()
@@ -126,8 +126,6 @@ def run_hierarchy(inst: PopInstance,
         k_max = k_min + 3
     if k_max < k_min:
         raise LevelError(f"maximum level {k_max} is below the starting level {k_min}")
-    if solver_options is not None:
-        solver_options.validate()
     check_tolerance("stagnation_tol", stagnation_tol)
 
     run = HierarchyRun(instance=inst)

@@ -15,7 +15,7 @@ import operator
 from itertools import combinations_with_replacement
 from types import MappingProxyType
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError
 
 Monomial = tuple[int, ...]
 
@@ -275,7 +275,7 @@ class Polynomial:
     def to_text(self) -> str:
         """Serialize as ``coeff * x1^a1 x2^a2`` terms joined by '+'.
 
-        Coefficients are written with repr so the round trip is exact.
+        Coefficients are written with repr, so each is its exact float.
         """
         if not self.terms:
             return "0"
@@ -287,45 +287,6 @@ class Polynomial:
             else:
                 parts.append(repr(c))
         return " + ".join(parts)
-
-    @staticmethod
-    def from_text(text: str, nvars: int) -> "Polynomial":
-        """Parse the ``to_text`` format (whitespace tolerant)."""
-        text = text.strip()
-        if not text or text == "0":
-            return Polynomial.zero(nvars)
-        terms: dict = {}
-        for chunk in text.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if "*" in chunk:
-                coeff_txt, _, mono_txt = chunk.partition("*")
-            else:
-                coeff_txt, mono_txt = chunk, ""
-            try:
-                coeff = float(coeff_txt)
-            except ValueError as exc:
-                raise ParseError(f"bad coefficient {coeff_txt!r} in term {chunk!r}") from exc
-            expo = [0] * nvars
-            for factor in mono_txt.split():
-                if not factor.startswith("x"):
-                    raise ParseError(f"bad factor {factor!r} in term {chunk!r}")
-                var_txt, _, pow_txt = factor[1:].partition("^")
-                try:
-                    idx = int(var_txt) - 1
-                    power = int(pow_txt) if pow_txt else 1
-                except ValueError as exc:
-                    raise ParseError(f"bad factor {factor!r} in term {chunk!r}") from exc
-                if not 0 <= idx < nvars:
-                    raise ParseError(f"variable x{idx + 1} out of range for n={nvars}")
-                expo[idx] += power
-            key = tuple(expo)
-            terms[key] = terms.get(key, 0.0) + coeff
-        try:
-            return Polynomial(nvars, terms)
-        except ValueError as exc:   # a coefficient that is not finite
-            raise ParseError(f"{exc} in {text!r}") from exc
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self.to_text()!r})"

@@ -15,6 +15,12 @@ The result keeps the problem it was made from in ``dual_of``, which
 ``solver.solve`` uses to answer it from one run on that, usually smaller,
 problem.
 
+``SdpProblem`` and ``CoeffBlock`` are frozen values, checked once, when they
+are made: dimensions that disagree, an asymmetric C block or a triplet
+outside its matrices raise ValueError there, and nothing checks them again.
+Every array they hold is their own read-only copy, so a problem cannot
+change after it is made, and neither can the problem in its ``dual_of``.
+
 The coefficient matrices of a relaxation are symmetric and well under 2%
 nonzero, so each block's A_{j,0..nrows-1} is stored as a ``CoeffBlock``:
 triplets (row m, flat index p*s + q, value) of the upper triangles p <= q,
@@ -62,7 +68,7 @@ class CoeffBlock:
     Entry (p, q), p <= q, of A_{j,m} is held at row m, flat index p*s + q;
     entry (q, p) is the same value and is not held.  Construction sorts the
     triplets by (m, p, q), adds up repeated entries and rejects an entry
-    below the diagonal.
+    below the diagonal or outside the matrices.
     """
 
     nrows: int
@@ -73,17 +79,21 @@ class CoeffBlock:
 
     def __post_init__(self):
         nrows, size = int(self.nrows), int(self.size)
-        rows = np.asarray(self.rows, dtype=np.int64).reshape(-1)
-        cols = np.asarray(self.cols, dtype=np.int64).reshape(-1)
-        vals = np.asarray(self.vals, dtype=float).reshape(-1)
+        # read-only before reshaping, so that no view's base is writeable
+        rows = _read_only(np.array(self.rows, dtype=np.int64)).reshape(-1)
+        cols = _read_only(np.array(self.cols, dtype=np.int64)).reshape(-1)
+        vals = _read_only(np.array(self.vals, dtype=float)).reshape(-1)
         if not len(rows) == len(cols) == len(vals):
             raise ValueError("coefficient triplets have unequal lengths")
+        if nrows < 0 or size < 1:
+            raise ValueError(f"coefficient block of {nrows} rows and size {size}")
         ss = size * size
+        if len(rows) and (rows.min() < 0 or rows.max() >= nrows):
+            raise ValueError(f"coefficient triplet row outside 0..{nrows - 1}")
+        if len(cols) and (cols.min() < 0 or cols.max() >= ss):
+            raise ValueError(f"coefficient triplet column outside 0..{ss - 1}")
         key = rows * ss + cols
         if len(key) > 1 and not (key[1:] > key[:-1]).all():
-            # rows stay out of range under re-sorting, columns would alias
-            if cols.min() < 0 or cols.max() >= ss:
-                raise ValueError("coefficient triplet index out of range")
             order = np.argsort(key, kind="stable")
             key, vals = key[order], vals[order]
             repeated = key[1:] == key[:-1]
@@ -94,7 +104,8 @@ class CoeffBlock:
         if len(cols) and (cols // size > cols % size).any():
             raise ValueError("coefficient triplet below the diagonal: only p <= q is held")
         for name, value in zip(("nrows", "size", "rows", "cols", "vals"),
-                               (nrows, size, rows, cols, vals)):
+                               (nrows, size, _read_only(rows), _read_only(cols),
+                                _read_only(vals))):
             object.__setattr__(self, name, value)
 
     @staticmethod
@@ -133,29 +144,51 @@ class CoeffBlock:
         return a.reshape(self.nrows, self.size, self.size)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SdpProblem:
-    block_sizes: list
-    a_blocks: list            # per block: a CoeffBlock (a dense (nrows, s, s) cube is converted)
+    """One problem in the form of the module docstring, checked when it is
+    made (ValueError on dimensions that disagree or an asymmetric C block)
+    and read-only after: its arrays are its own copies, not writeable."""
+
+    block_sizes: tuple
+    a_blocks: tuple           # per block: a CoeffBlock (a dense (nrows, s, s) cube is converted)
     b_free: np.ndarray        # (nrows, nfree)
     rhs: np.ndarray           # (nrows,)
     c_free: np.ndarray        # (nfree,)
-    c_blocks: list | None = None   # per block: (s, s); zeros when omitted
+    c_blocks: tuple | None = None  # per block: (s, s); zeros when omitted
     name: str = ""
     layout: object = None     # builder metadata (row monomials, variable map); not serialized
     dual_of: SdpProblem | None = None  # the problem this is ``dual()`` of; not serialized
 
     def __post_init__(self):
-        self.block_sizes = [int(s) for s in self.block_sizes]
-        self.rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
-        self.c_free = np.asarray(self.c_free, dtype=float).reshape(-1)
-        self.b_free = np.asarray(self.b_free, dtype=float).reshape(len(self.rhs), -1)
-        self.a_blocks = [a if isinstance(a, CoeffBlock) else CoeffBlock.from_dense(a)
-                         for a in self.a_blocks]
+        sizes = tuple(int(s) for s in self.block_sizes)
+        rhs = _read_only(np.array(self.rhs, dtype=float)).reshape(-1)
+        if len(rhs) < 1:
+            raise ValueError("problem needs at least one equality row")
+        b_free = _read_only(np.array(self.b_free, dtype=float)).reshape(len(rhs), -1)
+        c_free = _read_only(np.array(self.c_free, dtype=float)).reshape(-1)
+        if b_free.shape[1] != len(c_free):
+            raise ValueError(
+                f"b_free has {b_free.shape[1]} columns but c_free has {len(c_free)}")
+        a_blocks = tuple(a if isinstance(a, CoeffBlock) else CoeffBlock.from_dense(a)
+                         for a in self.a_blocks)
         if self.c_blocks is None:
-            self.c_blocks = [np.zeros((s, s)) for s in self.block_sizes]
+            c_blocks = tuple(_read_only(np.zeros((s, s))) for s in sizes)
         else:
-            self.c_blocks = [np.asarray(c, dtype=float) for c in self.c_blocks]
+            c_blocks = tuple(_read_only(np.array(c, dtype=float)) for c in self.c_blocks)
+        if len(a_blocks) != len(sizes) or len(c_blocks) != len(sizes):
+            raise ValueError("per-block arrays disagree with block_sizes")
+        for j, (s, a, c) in enumerate(zip(sizes, a_blocks, c_blocks)):
+            if (a.nrows, a.size) != (len(rhs), s):
+                raise ValueError(f"a_blocks[{j}] has shape {(a.nrows, a.size, a.size)}, "
+                                 f"expected {(len(rhs), s, s)}")
+            if c.shape != (s, s):
+                raise ValueError(f"c_blocks[{j}] has shape {c.shape}, expected {(s, s)}")
+            if np.abs(c - c.T).max(initial=0.0) > SYMMETRY_TOL * (1.0 + np.abs(c).max(initial=0.0)):
+                raise ValueError(f"c_blocks[{j}] is not symmetric")
+        for name, value in zip(("block_sizes", "a_blocks", "b_free", "rhs", "c_free", "c_blocks"),
+                               (sizes, a_blocks, b_free, rhs, c_free, c_blocks)):
+            object.__setattr__(self, name, value)
 
     @property
     def nblocks(self) -> int:
@@ -179,11 +212,15 @@ class SdpProblem:
         order Z_j[p,q] - A_j*(v)[p,q] = -C_j[p,q] with the slack Z_j as block j.
 
         The result's ``dual_of`` is this problem, and ``solver.solve`` answers
-        it from a run on this one.  The link holds only while neither problem
-        changes, so edit the result in place only after dropping it
-        (``result.dual_of = None``, or ``dataclasses.replace(result,
-        dual_of=None)`` for a copy); without the link ``solve`` runs the
-        result itself."""
+        it from a run on this one.  Neither problem can be edited, so no edit
+        makes the link stale.  ``dataclasses.replace(result, dual_of=None)``
+        is a copy without it, which ``solve`` runs itself; a ``replace`` that
+        changes the data must drop the link the same way, since it copies the
+        link as it is."""
+        return SdpProblem(**self._dual_fields(), dual_of=self)
+
+    def _dual_fields(self) -> dict:
+        """The arrays of ``dual()`` as SdpProblem keyword arguments."""
         nrows = self.nfree + sum(s * (s + 1) // 2 for s in self.block_sizes)
         a_blocks, b_rows, rhs, first = [], [self.b_free.T], [self.c_free], self.nfree
         for a, c, s in zip(self.a_blocks, self.c_blocks, self.block_sizes):
@@ -199,35 +236,9 @@ class SdpProblem:
             b_rows.append(block_b)
             rhs.append(0.0 - c[p, q])   # 0.0 - x: a zero stays +0.0
             first += len(p)
-        return SdpProblem(
-            block_sizes=self.block_sizes, a_blocks=a_blocks, b_free=np.concatenate(b_rows),
-            rhs=np.concatenate(rhs), c_free=0.0 - self.rhs, dual_of=self)
-
-    def validate(self):
-        """Raise ValueError on inconsistent dimensions or an asymmetric C block."""
-        if self.nrows < 1:
-            raise ValueError("problem needs at least one equality row")
-        if len(self.a_blocks) != self.nblocks or len(self.c_blocks) != self.nblocks:
-            raise ValueError("per-block arrays disagree with block_sizes")
-        if self.nfree != len(self.c_free):
-            raise ValueError(
-                f"b_free has {self.nfree} columns but c_free has {len(self.c_free)}")
-        for j, s in enumerate(self.block_sizes):
-            if s < 1:
-                raise ValueError(f"block {j} has nonpositive size {s}")
-            a = self.a_blocks[j]
-            if (a.nrows, a.size, a.size) != (self.nrows, s, s):
-                raise ValueError(f"a_blocks[{j}] has shape {(a.nrows, a.size, a.size)}, "
-                                 f"expected {(self.nrows, s, s)}")
-            if len(a.vals) and (a.rows[0] < 0 or a.rows[-1] >= self.nrows
-                                or a.cols.min() < 0 or a.cols.max() >= s * s):
-                raise ValueError(f"a_blocks[{j}] has an entry outside its matrices")
-            c = self.c_blocks[j]
-            if c.shape != (s, s):
-                raise ValueError(f"c_blocks[{j}] has shape {c.shape}, expected {(s, s)}")
-            if np.abs(c - c.T).max(initial=0.0) > SYMMETRY_TOL * (1.0 + np.abs(c).max(initial=0.0)):
-                raise ValueError(f"c_blocks[{j}] is not symmetric")
-        return self
+        return dict(block_sizes=self.block_sizes, a_blocks=a_blocks,
+                    b_free=np.concatenate(b_rows), rhs=np.concatenate(rhs),
+                    c_free=0.0 - self.rhs)
 
     # -- text format ---------------------------------------------------------
 
@@ -307,7 +318,7 @@ class SdpProblem:
                 elif kind == "rhs":
                     rhs[_index(tok[1], nrows, ln)] = float(tok[2])
                 elif kind == "A":
-                    # m, p and q are range-checked per block below
+                    # p, q < s is checked below, the rest by CoeffBlock
                     j = _index(tok[2], len(sizes), ln)
                     a_records[j].append((int(tok[1]), int(tok[3]), int(tok[4]), float(tok[5])))
                 elif kind == "B":
@@ -318,20 +329,22 @@ class SdpProblem:
             raise
         except (IndexError, ValueError) as exc:
             raise ParseError(f"malformed record line: {ln!r}") from exc
-        a_blocks = []
+        triplets = []
         for j, (s, records) in enumerate(zip(sizes, a_records)):
             rec = np.array(records, dtype=float).reshape(-1, 4)
             m, p, q = rec[:, :3].astype(np.int64).T
-            value = rec[:, 3]
-            if len(m) and (rec[:, :3].min() < 0 or m.max() >= nrows
-                           or max(p.max(), q.max()) >= s):
+            if len(m) and max(p.max(), q.max()) >= s:
+                # lo*s + hi would alias another entry; a negative p or q makes
+                # it negative, and CoeffBlock rejects that, as it does m
                 raise ParseError(f"A record of block {j} indexes outside its matrices")
             lo, hi = np.minimum(p, q), np.maximum(p, q)
-            a_blocks.append(CoeffBlock(nrows, s, m, lo * s + hi, value))
-        return SdpProblem(
-            block_sizes=sizes, a_blocks=a_blocks, b_free=b_free, rhs=rhs,
-            c_free=c_free, c_blocks=c_blocks, name=name)
-
+            triplets.append((m, lo * s + hi, rec[:, 3]))
+        try:
+            a_blocks = [CoeffBlock(nrows, s, *t) for s, t in zip(sizes, triplets)]
+            return SdpProblem(block_sizes=sizes, a_blocks=a_blocks, b_free=b_free, rhs=rhs,
+                              c_free=c_free, c_blocks=c_blocks, name=name)
+        except ValueError as exc:
+            raise ParseError(f"inconsistent problem: {exc}") from exc
 
 def _index(tok: str, bound: int, line: str) -> int:
     """A record index in 0..bound-1; numpy would wrap a negative one."""
@@ -339,6 +352,11 @@ def _index(tok: str, bound: int, line: str) -> int:
     if not 0 <= i < bound:
         raise ParseError(f"index {i} outside 0..{bound - 1} in record line: {line!r}")
     return i
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _nonzeros(arr):

@@ -151,20 +151,21 @@ _CHUNK_BYTES = 1 << 20  # bytes of T (U takes no more) per chunk of rows that ``
 _CHOL_SHIFT = 10.0 * np.finfo(float).eps  # times nrows: the retry's shift of K's unit diagonal
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
+    """The stopping rules of ``solve``, checked when made: ValueError when
+    ``max_iter`` is below 1 or a tolerance is not finite and positive (a NaN
+    tolerance is never met)."""
+
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 200
 
-    def validate(self):
-        """Return self; raise ValueError when ``max_iter`` is below 1 or a
-        tolerance is not finite and positive (a NaN tolerance is never met)."""
+    def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         check_tolerance("tol_gap", self.tol_gap)
         check_tolerance("tol_feas", self.tol_feas)
-        return self
 
 
 @dataclass
@@ -777,10 +778,10 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     feasibility residuals are below tolerance.
 
     A problem made by ``SdpProblem.dual()`` is answered from the problem it
-    is the dual of (``prob.dual_of``, validated too): when the run on that
-    one ends ``optimal``, its solution is returned in ``prob``'s terms
-    (``_as_dual``), with that run's iterations, trace and notes and one
-    note more.  Otherwise ``prob`` itself is solved.
+    is the dual of (``prob.dual_of``): when the run on that one ends
+    ``optimal``, its solution is returned in ``prob``'s terms (``_as_dual``),
+    with that run's iterations, trace and notes and one note more.
+    Otherwise ``prob`` itself is solved.
 
     Numerical breakdown (a KKT system that cannot be factored, a nonfinite
     direction, a step that cannot keep X or Z positive definite, or a
@@ -791,21 +792,20 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     ``max_iter`` otherwise.  Clear certificate-of-infeasibility or
     divergence patterns are reported as ``infeasible`` / ``unbounded``, and
     so is a primal feasible best iterate when B's null space moves c.u.
-    Raises ValueError when ``opts.max_iter`` is below 1.
+    Problems and options are checked when they are made, not here.
     """
-    opts = (opts or SolverOptions()).validate()
-    prob.validate()
+    opts = opts or SolverOptions()
     if prob.dual_of is not None:
         # the IPM proper is ``_run``: ``solve`` is the entry point that
         # tracers wrap, so it is never called twice for one solve
-        sol = _run(prob.dual_of.validate(), opts)
+        sol = _run(prob.dual_of, opts)
         if sol.status == STATUS_OPTIMAL:
             return _as_dual(sol, prob.dual_of)
     return _run(prob, opts)
 
 
 def _run(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
-    """The interior-point run on a validated ``prob`` (``solve``)."""
+    """The interior-point run on ``prob`` (``solve``)."""
     data, it = _start(prob, opts)
     trace, notes = [], []
     status, converged, polish_left, stall_count = STATUS_MAX_ITER, False, POLISH_ITERS, 0

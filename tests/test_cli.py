@@ -127,7 +127,7 @@ class TestInputErrors:
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe{")
         files = {"quad": quad_file, "zero": str(zero), "list": str(listed),
-                 "binary": str(binary)}
+                 "binary": str(binary), "dir": str(tmp_path)}
         # fields of the wrong JSON type
         for key, value in [("objective", 5), ("equalities", 5), ("inequalities", [5]),
                            ("metadata", 5)]:
@@ -159,13 +159,17 @@ class TestInputErrors:
          "tol must be finite and positive, got nan"),
         (["hierarchy", "quad", "--tol-stagnation", "nan"],
          "stagnation_tol must be finite and positive, got nan"),
+        # a directory given as a file used to end in an IsADirectoryError traceback
+        (["solve", "dir"], "Is a directory"),
+        (["verify", "dir"], "Is a directory"),
+        (["check-local", "dir", "--point", "0,0"], "Is a directory"),
     ], ids=["gallery-unknown", "solve-ball-0", "certify-ball-neg", "hierarchy-ball-0",
             "solve-ball-nan", "hierarchy-level-range", "solve-zero-constraint",
             "certify-zero-constraint", "verify-json-list", "solve-binary-file",
             "solve-tol-gap-nan", "certify-tol-feas-0", "hierarchy-tol-gap-neg",
             "solve-objective-int", "solve-equalities-int", "hierarchy-inequality-int",
             "solve-metadata-int", "check-local-tol-active-nan",
-            "hierarchy-tol-stagnation-nan"])
+            "hierarchy-tol-stagnation-nan", "solve-dir", "verify-dir", "check-local-dir"])
     def test_exits_2_with_one_line(self, files, tmp_path, monkeypatch, argv, message, capsys):
         monkeypatch.chdir(tmp_path)
         argv = [files.get(a, a) for a in argv]

@@ -172,11 +172,25 @@ class TestEnsemble:
         assert summary.results == []
         assert "count=0" in summary.table()
 
+    @pytest.mark.parametrize("name, value", [
+        ("count", -4), ("seed", -1), ("level_budget", -1), ("workers", 0)])
+    def test_bad_arguments_raise(self, name, value):
+        # a negative level budget used to give failed results, and a negative
+        # count an empty summary reading "failures 0 of 1"
+        args = dict(nvars=2, degree=2, count=2, seed=1)
+        with pytest.raises(ValueError, match=f"{name} must be at least"):
+            run_ensemble(**dict(args, **{name: value}))
+
+    def test_negative_equalities_raise(self):
+        # they used to draw no equality at all
+        with pytest.raises(ValueError, match="n_equalities must be at least 0"):
+            random_instance(2, 2, np.random.default_rng(0), n_equalities=-1)
+
     def test_small_ensemble_mostly_clean(self, tmp_path):
         summary = run_ensemble(nvars=2, degree=2, count=12, seed=7,
                                n_equalities=1, dump_dir=tmp_path)
         assert summary.fraction("flat") >= 0.9
-        assert summary.all_conditions_fraction() >= 0.9
+        assert summary.fraction("all_conditions") >= 0.9
         assert summary.fraction("certificates_verified") >= 0.9
         # dumped failures match the summary count
         dumped = list(tmp_path.glob("failure_*.json"))

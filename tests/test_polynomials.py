@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polyopt import Polynomial, basis, basis_size, motzkin
-from polyopt.errors import DimensionMismatchError, ParseError
+from polyopt.errors import DimensionMismatchError
 from polyopt.polynomials import grlex_key
 
 from oracles import central_difference
@@ -200,31 +200,7 @@ class TestBasis:
 
 
 class TestText:
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            p = random_poly(rng, 3, 4)
-            assert Polynomial.from_text(p.to_text(), 3) == p
-
-    def test_round_trip_exact_decimals(self):
-        p = Polynomial(2, {(2, 1): 2.5, (0, 0): -0.125})
-        q = Polynomial.from_text(p.to_text(), 2)
-        assert q.terms == p.terms
-
-    def test_zero(self):
-        assert Polynomial.from_text("0", 2).is_zero()
+    def test_to_text_is_pinned(self):
+        p = Polynomial(2, {(2, 1): 2.5, (0, 0): -0.125, (0, 2): 1.0 / 3.0})
+        assert p.to_text() == "-0.125 + 0.3333333333333333 * x2^2 + 2.5 * x1^2 x2^1"
         assert Polynomial.zero(2).to_text() == "0"
-
-    def test_parse_plain_exponent(self):
-        p = Polynomial.from_text("3.0 * x1 x2^2", 2)
-        assert p == Polynomial(2, {(1, 2): 3.0})
-
-    def test_parse_errors(self):
-        with pytest.raises(ParseError):
-            Polynomial.from_text("bogus * x1", 2)
-        with pytest.raises(ParseError):
-            Polynomial.from_text("1.0 * x7", 2)
-        with pytest.raises(ParseError):
-            Polynomial.from_text("1.0 * y1", 2)
-        with pytest.raises(ParseError):
-            Polynomial.from_text("nan * x1 + 1.0", 2)

@@ -57,7 +57,7 @@ class TestSosBuilder:
     def test_univariate_square(self):
         inst = PopInstance(f=Polynomial(1, {(2,): 1.0}))
         prob = build_sos_relaxation(inst, 1)
-        assert prob.block_sizes == [2]
+        assert prob.block_sizes == (2,)
         assert prob.nrows == 3
         sol = solve(prob)
         assert relaxation_value(prob, sol) == pytest.approx(0.0, abs=1e-7)
@@ -65,7 +65,7 @@ class TestSosBuilder:
     def test_motzkin_block_sizes(self):
         inst = PopInstance(f=motzkin(), g=(ball_constraint(3, 1.0),))
         prob = build_sos_relaxation(inst, 3)
-        assert prob.block_sizes == [20, 10]
+        assert prob.block_sizes == (20, 10)
 
     def test_phi_dimension(self):
         # deg f = 4, deg h = 2, k = 2: multiplier basis has degree 2k - 2 = 2
@@ -211,12 +211,11 @@ class TestScale:
         tracemalloc.start()
         try:
             prob = build_sos_relaxation(inst, 4)
-            prob.validate()
             back = SdpProblem.from_text(prob.to_text())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (prob.nrows, prob.block_sizes) == (3003, [210, 84])
+        assert (prob.nrows, prob.block_sizes) == (3003, (210, 84))
         assert peak < 64 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
         # both are in canonical triplet form, so equal triplets mean equal
         # dense cubes (to_dense() of these blocks would not fit the budget)

@@ -29,7 +29,8 @@ def tiny_problem():
 
 class TestValidation:
     def test_valid(self):
-        tiny_problem().validate()
+        prob = tiny_problem()
+        assert (prob.block_sizes, prob.nrows, prob.nfree) == ((2,), 2, 1)
 
     def test_asymmetric_rejected(self):
         # A_1[0, 1] = 0.7 but A_1[1, 0] = 0.5: a dense cube fails where it
@@ -55,16 +56,97 @@ class TestValidation:
         assert np.array_equal(prob.to_dense()[0], tiny_problem().to_dense()[0])
 
     def test_block_shape_checked(self):
-        prob = tiny_problem()
-        prob.a_blocks = [CoeffBlock(3, 2, rows=[0], cols=[0], vals=[1.0])]
         with pytest.raises(ValueError, match="shape"):
-            prob.validate()
+            dataclasses.replace(tiny_problem(),
+                                a_blocks=[CoeffBlock(3, 2, rows=[0], cols=[0], vals=[1.0])])
 
     def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="c_free has 2"):
+            dataclasses.replace(tiny_problem(), c_free=np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("rows, cols, match", [
+        ([2], [0], "row outside 0..1"), ([-1], [0], "row outside"),
+        ([0], [4], "column outside 0..3"), ([0], [-1], "column outside")])
+    def test_triplet_range_checked(self, rows, cols, match):
+        # checked on every construction, sorted triplets or not
+        with pytest.raises(ValueError, match=match):
+            CoeffBlock(2, 2, rows=rows, cols=cols, vals=[1.0])
+        with pytest.raises(ValueError, match=match):
+            CoeffBlock(2, 2, rows=[0, *rows], cols=[0, *cols], vals=[1.0, 1.0])
+
+
+class TestFrozen:
+    """A problem is checked once, when it is made, and cannot change after."""
+
+    @staticmethod
+    def held_arrays(prob):
+        yield from (prob.rhs, prob.c_free, prob.b_free, *prob.c_blocks)
+        for blk in prob.a_blocks:
+            yield from (blk.rows, blk.cols, blk.vals)
+
+    @pytest.mark.parametrize("make", ["sos", "moment", "dual", "text", "dense"])
+    def test_every_maker_holds_read_only_arrays(self, make):
+        inst = gallery_instance("equality-quadratic")
+        prob = {"sos": lambda: build_sos_relaxation(inst, 2),
+                "moment": lambda: build_moment_relaxation(inst, 2),
+                "dual": lambda: build_sos_relaxation(inst, 2).dual(),
+                "text": lambda: SdpProblem.from_text(build_sos_relaxation(inst, 2).to_text()),
+                "dense": tiny_problem}[make]()
+        assert isinstance(prob.block_sizes, tuple)
+        assert isinstance(prob.a_blocks, tuple) and isinstance(prob.c_blocks, tuple)
+        for arr in self.held_arrays(prob):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+    def test_caller_arrays_are_copied(self):
+        rhs, b_free, c_block = np.array([1.0, 0.25]), np.array([[1.0], [0.0]]), np.eye(2)
+        rows, cols, vals = np.array([0, 1]), np.array([0, 1]), np.array([1.0, 0.5])
+        prob = SdpProblem(block_sizes=[2], a_blocks=[CoeffBlock(2, 2, rows, cols, vals)],
+                          b_free=b_free, rhs=rhs, c_free=[1.0], c_blocks=[c_block])
+        for arr in (rhs, b_free, c_block, rows, cols, vals):
+            assert arr.flags.writeable
+        rhs[0] = b_free[0, 0] = c_block[0, 0] = vals[0] = 9.0
+        assert prob.rhs[0] == prob.b_free[0, 0] == prob.c_blocks[0][0, 0] == 1.0
+        assert prob.a_blocks[0].vals[0] == 1.0
+
+    def test_fields_cannot_be_rebound(self):
         prob = tiny_problem()
-        prob.c_free = np.array([1.0, 2.0])
-        with pytest.raises(ValueError):
-            prob.validate()
+        for name, value in [("rhs", np.zeros(2)), ("dual_of", None), ("name", "x")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(prob, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.a_blocks[0].vals = np.zeros(2)
+
+    def test_edits_that_staled_the_dual_link_raise(self):
+        # both edits used to be answered from the unedited problem: the first
+        # gave the bound -0.2857 where a direct run gives -0.5714, the second
+        # 0.0 where it gives -0.2857
+        inst = gallery_instance("quadratic-ball")
+        mom = build_moment_relaxation(inst, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            mom.c_free[:] *= 2.0
+        sos = build_sos_relaxation(inst, 2)
+        m2 = sos.dual()
+        with pytest.raises(ValueError, match="read-only"):
+            sos.rhs[:] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mom.c_free = 2.0 * mom.c_free
+        # what was built still solves the same, routed or direct
+        value = -solve(dataclasses.replace(m2, dual_of=None)).primal_objective
+        assert value == pytest.approx(-0.2857142857, abs=1e-7)
+        assert -solve(mom).primal_objective == pytest.approx(value, abs=1e-7)
+        assert -solve(m2).primal_objective == pytest.approx(value, abs=1e-7)
+
+    def test_replace_without_the_link_runs_directly(self):
+        mom = build_moment_relaxation(gallery_instance("quadratic-ball"), 2)
+        direct = dataclasses.replace(mom, dual_of=None)
+        assert direct.dual_of is None and mom.dual_of is not None
+        assert direct.name == mom.name and direct.layout is mom.layout
+        assert not direct.b_free.flags.writeable
+        sol = solve(direct)
+        assert sol.status == "optimal"
+        assert all("solved as the dual" not in note for note in sol.notes)
 
 
 class TestTextFormat:
@@ -108,6 +190,12 @@ class TestTextFormat:
                           ("sizes 2", "sizes -2"), ("rows 2", "rows two")]:
             with pytest.raises(ParseError):
                 SdpProblem.from_text(text.replace(line, bad))
+
+    def test_no_rows(self):
+        # it used to read as a problem with no rows
+        text = "SDPPROBLEM v1\nblocks 1\nsizes 1\nfree 0\nrows 0\nEND\n"
+        with pytest.raises(ParseError, match="at least one equality row"):
+            SdpProblem.from_text(text)
 
     def test_bad_record(self):
         text = tiny_problem().to_text().replace("END", "bogus 1 2\nEND")
@@ -168,8 +256,8 @@ class TestDual:
             b_free=np.array([[1.0], [-1.0]]), rhs=np.array([2.0, 0.0]),
             c_free=np.array([0.5]),
             c_blocks=[np.array([[1.0, 0.3], [0.3, -0.5]]), np.array([[-0.2]])])
-        dual = prob.dual().validate()
-        assert (dual.nrows, dual.nfree, dual.block_sizes) == (5, 2, [2, 1])
+        dual = prob.dual()
+        assert (dual.nrows, dual.nfree, dual.block_sizes) == (5, 2, (2, 1))
         assert dual.dual_of is prob
         primal_sol = solve(prob)
         scale = abs(primal_sol.primal_objective)
