@@ -191,7 +191,8 @@ def run_ensemble(nvars: int, degree: int, count: int, seed: int,
     """Sample and solve ``count`` random instances; fully determined by the seed.
 
     Failing instances (anything short of flat convergence with a verified
-    audit) are dumped as JSON into ``dump_dir`` when given.  With
+    audit) are dumped as JSON into ``dump_dir`` when given; it is made (with
+    its parents) before any instance is drawn.  With
     ``keep_artifacts`` (serial only) each result also carries the live
     instance and hierarchy run under the keys ``_instance`` / ``_run``.
     A ``count``, ``seed`` or ``level_budget`` below 0 or ``workers`` below 1
@@ -202,6 +203,8 @@ def run_ensemble(nvars: int, degree: int, count: int, seed: int,
                                ("level_budget", level_budget, 0), ("workers", workers, 1)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    if dump_dir is not None:
+        os.makedirs(str(dump_dir), exist_ok=True)
     summary = EnsembleSummary(count=count, seed=seed, nvars=nvars, degree=degree,
                               n_equalities=n_equalities, level_budget=level_budget)
     args = [(i, seed, nvars, degree, n_equalities, level_budget) for i in range(count)]
@@ -216,10 +219,7 @@ def run_ensemble(nvars: int, degree: int, count: int, seed: int,
     summary.results = results
 
     if dump_dir is not None:
-        failures = summary.failures()
-        if failures:
-            os.makedirs(str(dump_dir), exist_ok=True)
-            for r in failures:
-                write_json(r, os.path.join(str(dump_dir), f"failure_{r['index']:04d}.json"),
-                           indent=1)
+        for r in summary.failures():
+            write_json(r, os.path.join(str(dump_dir), f"failure_{r['index']:04d}.json"),
+                       indent=1)
     return summary

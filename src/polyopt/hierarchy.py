@@ -107,7 +107,8 @@ def run_hierarchy(inst: PopInstance,
     A solver failure at one level is recorded and the loop moves on to the
     next level.  Only ``optimal`` levels are tested for flatness; a
     ``near_optimal`` bound may lie below the previous level's.  When
-    ``certificate_dir`` is given, each level's certificate is written there as
+    ``certificate_dir`` is given, it is made (with its parents) before any
+    level is built, and each level's certificate is written there as
     ``certificate_k<level>.json``.  ``stagnation_tol`` is the relative
     increase below which a level counts as stagnant; the default sits under
     the solver tolerance, so stagnation stops are rare unless the caller
@@ -127,6 +128,10 @@ def run_hierarchy(inst: PopInstance,
     if k_max < k_min:
         raise LevelError(f"maximum level {k_max} is below the starting level {k_min}")
     check_tolerance("stagnation_tol", stagnation_tol)
+    if certificate_dir is not None:
+        import os
+
+        os.makedirs(str(certificate_dir), exist_ok=True)
 
     run = HierarchyRun(instance=inst)
     stagnant_steps = 0
@@ -152,8 +157,6 @@ def run_hierarchy(inst: PopInstance,
 
         rec.certificate = extract_certificate(prob, sol, inst)
         if certificate_dir is not None:
-            import os
-
             path = os.path.join(str(certificate_dir), f"certificate_k{k}.json")
             write_certificate(rec.certificate, path, inst)
             rec.certificate_path = path

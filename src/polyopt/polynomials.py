@@ -80,6 +80,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return Polynomial, (self.nvars, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -320,6 +323,10 @@ class MonomialBasis:
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialBasis is immutable")
+
+    def __reduce__(self):
+        # copies and unpickled bases are the shared one of ``basis``
+        return basis, (self.nvars, self.max_degree)
 
     def __len__(self):
         return len(self.entries)

@@ -63,24 +63,6 @@ class PopInstance:
 
     # -- feasibility -------------------------------------------------------
 
-    def _values(self, u):
-        """(h values, g values) at the point u, or None when u is not finite or
-        a value leaves the float range, which no comparison would flag."""
-        if not np.isfinite(u).all():
-            return None
-        values = [p.eval(u) for p in self.h], [p.eval(u) for p in self.g]
-        return values if all(map(math.isfinite, values[0] + values[1])) else None
-
-    def violations(self, point) -> tuple[float, float]:
-        """(worst |h_i(u)|, worst max(0, -g_j(u))) at the point; (inf, inf) at a
-        point that is not finite or where a constraint's value overflows."""
-        values = self._values(np.asarray(point, dtype=float))
-        if values is None:
-            return math.inf, math.inf
-        eq = max((abs(v) for v in values[0]), default=0.0)
-        ineq = max((max(0.0, -v) for v in values[1]), default=0.0)
-        return eq, ineq
-
     def worst_violation(self, point, tol: float = 1e-8) -> tuple[float, str] | None:
         """The worst constraint violation beyond ``band``, as (amount, label), or None.
 
@@ -91,13 +73,13 @@ class PopInstance:
         """
         check_tolerance("tol", tol)
         u = np.asarray(point, dtype=float)
-        values = self._values(u)
-        if values is None:
+        if not np.isfinite(u).all():
             return math.inf, NOT_FINITE
-        signed = [(abs(v), f"h[{i}]", p) for i, (p, v) in enumerate(zip(self.h, values[0]))] + \
-            [(-v, f"g[{j}]", p) for j, (p, v) in enumerate(zip(self.g, values[1]))]
+        signed = [(abs(p.eval(u)), f"h[{i}]", p) for i, p in enumerate(self.h)] + \
+            [(-p.eval(u), f"g[{j}]", p) for j, p in enumerate(self.g)]
         bands = [band(p, u, tol) for _, _, p in signed]
-        if not all(map(math.isfinite, bands)):
+        # a value or band that leaves the float range would flag nothing
+        if not all(math.isfinite(v) and math.isfinite(b) for (v, _, _), b in zip(signed, bands)):
             return math.inf, NOT_FINITE
         over = [(amount, label) for (amount, label, _), b in zip(signed, bands) if amount > b]
         return max(over, key=lambda v: v[0], default=None)

@@ -153,10 +153,9 @@ def build_moment_relaxation(inst: PopInstance, k: int) -> SdpProblem:
     max -L_y(f), so the bound is minus the solved objective.
     """
     sos = build_sos_relaxation(inst, k)
-    # ``sos.dual()`` with the moment form's name and layout
-    return SdpProblem(**sos._dual_fields(), name=f"moment-level-{k}", dual_of=sos,
-                      layout=MomentLayout(kind="moment", level=k, nvars=sos.layout.nvars,
-                                          free_monomials=sos.layout.row_monomials))
+    return sos.dual(name=f"moment-level-{k}",
+                    layout=MomentLayout(kind="moment", level=k, nvars=sos.layout.nvars,
+                                        free_monomials=sos.layout.row_monomials))
 
 
 def relaxation_value(prob: SdpProblem, sol) -> float:

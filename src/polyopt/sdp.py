@@ -13,13 +13,16 @@ maximize -rhs . v subject to the nfree rows B^T v = c_free, then one row per
 block entry p <= q.  The moment relaxation is built this way from the SOS one.
 The result keeps the problem it was made from in ``dual_of``, which
 ``solver.solve`` uses to answer it from one run on that, usually smaller,
-problem.
+problem.  ``dual()`` is the only code that sets that link: the constructor
+and ``dataclasses.replace`` cannot pass it, so a replaced copy has none.
 
 ``SdpProblem`` and ``CoeffBlock`` are frozen values, checked once, when they
 are made: dimensions that disagree, an asymmetric C block or a triplet
 outside its matrices raise ValueError there, and nothing checks them again.
 Every array they hold is their own read-only copy, so a problem cannot
 change after it is made, and neither can the problem in its ``dual_of``.
+``copy``, ``deepcopy`` and ``pickle`` rebuild a problem through the same
+constructor, or through ``dual()`` when it is linked.
 
 The coefficient matrices of a relaxation are symmetric and well under 2%
 nonzero, so each block's A_{j,0..nrows-1} is stored as a ``CoeffBlock``:
@@ -51,7 +54,7 @@ An A record (p, q) with p > q stands for (q, p); repeated records add up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,6 +111,9 @@ class CoeffBlock:
                                 _read_only(vals))):
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):
+        return CoeffBlock, (self.nrows, self.size, self.rows, self.cols, self.vals)
+
     @staticmethod
     def from_dense(a) -> "CoeffBlock":
         """The upper-triangle triplets of a symmetric dense (nrows, s, s) cube."""
@@ -158,7 +164,8 @@ class SdpProblem:
     c_blocks: tuple | None = None  # per block: (s, s); zeros when omitted
     name: str = ""
     layout: object = None     # builder metadata (row monomials, variable map); not serialized
-    dual_of: SdpProblem | None = None  # the problem this is ``dual()`` of; not serialized
+    # the problem this is ``dual()`` of, set by ``dual()`` alone; not serialized
+    dual_of: SdpProblem | None = field(default=None, init=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.block_sizes)
@@ -206,21 +213,21 @@ class SdpProblem:
         """The coefficient matrices as one dense (nrows, s, s) cube per block."""
         return [a.to_dense() for a in self.a_blocks]
 
-    def dual(self) -> "SdpProblem":
+    def __reduce__(self):
+        if self.dual_of is not None:
+            return SdpProblem.dual, (self.dual_of, self.name, self.layout)
+        return SdpProblem, (self.block_sizes, self.a_blocks, self.b_free, self.rhs,
+                            self.c_free, self.c_blocks, self.name, self.layout)
+
+    def dual(self, name: str = "", layout=None) -> "SdpProblem":
         """The dual in this maximization form (module docstring): v free, the rows
         B^T v = c_free, then per block j and p <= q in ``np.triu_indices``
         order Z_j[p,q] - A_j*(v)[p,q] = -C_j[p,q] with the slack Z_j as block j.
 
-        The result's ``dual_of`` is this problem, and ``solver.solve`` answers
-        it from a run on this one.  Neither problem can be edited, so no edit
-        makes the link stale.  ``dataclasses.replace(result, dual_of=None)``
-        is a copy without it, which ``solve`` runs itself; a ``replace`` that
-        changes the data must drop the link the same way, since it copies the
-        link as it is."""
-        return SdpProblem(**self._dual_fields(), dual_of=self)
-
-    def _dual_fields(self) -> dict:
-        """The arrays of ``dual()`` as SdpProblem keyword arguments."""
+        The result carries ``name`` and ``layout``, and its ``dual_of`` is this
+        problem, which ``solver.solve`` answers it from.  Neither problem can
+        be edited, so the link cannot go stale; ``dataclasses.replace(result)``
+        is a copy without it, which ``solve`` runs itself."""
         nrows = self.nfree + sum(s * (s + 1) // 2 for s in self.block_sizes)
         a_blocks, b_rows, rhs, first = [], [self.b_free.T], [self.c_free], self.nfree
         for a, c, s in zip(self.a_blocks, self.c_blocks, self.block_sizes):
@@ -236,9 +243,11 @@ class SdpProblem:
             b_rows.append(block_b)
             rhs.append(0.0 - c[p, q])   # 0.0 - x: a zero stays +0.0
             first += len(p)
-        return dict(block_sizes=self.block_sizes, a_blocks=a_blocks,
-                    b_free=np.concatenate(b_rows), rhs=np.concatenate(rhs),
-                    c_free=0.0 - self.rhs)
+        result = SdpProblem(block_sizes=self.block_sizes, a_blocks=a_blocks,
+                            b_free=np.concatenate(b_rows), rhs=np.concatenate(rhs),
+                            c_free=0.0 - self.rhs, name=name, layout=layout)
+        object.__setattr__(result, "dual_of", self)
+        return result
 
     # -- text format ---------------------------------------------------------
 

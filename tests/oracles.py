@@ -87,6 +87,15 @@ def admm_sdp_solve(c_blocks, a_blocks, rhs, max_iter=20000, rho=None, tol=1e-9):
     return objective, blocks, it
 
 
+def _violations(inst, u):
+    """(worst |h_i(u)|, worst max(0, -g_j(u))), from the raw constraint values;
+    (inf, inf) where u or a value is not finite, which no comparison flags."""
+    values = [abs(p.eval(u)) for p in inst.h], [-p.eval(u) for p in inst.g]
+    if not (np.isfinite(u).all() and np.isfinite(values[0] + values[1]).all()):
+        return np.inf, np.inf
+    return max(values[0], default=0.0), max([0.0, *values[1]])
+
+
 def grid_minimize(inst, box_radius=None, grid_points=200000, polish_starts=12):
     """Brute-force global minimum: dense grid scan plus SLSQP polishing.
 
@@ -106,7 +115,7 @@ def grid_minimize(inst, box_radius=None, grid_points=200000, polish_starts=12):
     best = []
     for point in itertools.product(*axes):
         u = np.asarray(point)
-        eq, ineq = inst.violations(u)
+        eq, ineq = _violations(inst, u)
         if ineq > 1e-9:
             continue
         if inst.h and eq > 0.3:
@@ -139,7 +148,7 @@ def grid_minimize(inst, box_radius=None, grid_points=200000, polish_starts=12):
         if res.x is None:
             continue
         u = res.x
-        eq, ineq = inst.violations(u)
+        eq, ineq = _violations(inst, u)
         if eq < 1e-7 and ineq < 1e-7:
             val = inst.f.eval(u)
             if val < best_val:

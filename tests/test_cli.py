@@ -127,7 +127,8 @@ class TestInputErrors:
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe{")
         files = {"quad": quad_file, "zero": str(zero), "list": str(listed),
-                 "binary": str(binary), "dir": str(tmp_path)}
+                 "binary": str(binary), "dir": str(tmp_path),
+                 "in-file": str(tmp_path / "list.json" / "sub")}
         # fields of the wrong JSON type
         for key, value in [("objective", 5), ("equalities", 5), ("inequalities", [5]),
                            ("metadata", 5)]:
@@ -163,13 +164,17 @@ class TestInputErrors:
         (["solve", "dir"], "Is a directory"),
         (["verify", "dir"], "Is a directory"),
         (["check-local", "dir", "--point", "0,0"], "Is a directory"),
+        # a directory option that cannot be made fails before any solve
+        (["hierarchy", "quad", "--cert-dir", "in-file"], "Not a directory"),
+        (["random-ensemble", "--count", "1", "--dump-dir", "in-file"], "Not a directory"),
     ], ids=["gallery-unknown", "solve-ball-0", "certify-ball-neg", "hierarchy-ball-0",
             "solve-ball-nan", "hierarchy-level-range", "solve-zero-constraint",
             "certify-zero-constraint", "verify-json-list", "solve-binary-file",
             "solve-tol-gap-nan", "certify-tol-feas-0", "hierarchy-tol-gap-neg",
             "solve-objective-int", "solve-equalities-int", "hierarchy-inequality-int",
             "solve-metadata-int", "check-local-tol-active-nan",
-            "hierarchy-tol-stagnation-nan", "solve-dir", "verify-dir", "check-local-dir"])
+            "hierarchy-tol-stagnation-nan", "solve-dir", "verify-dir", "check-local-dir",
+            "hierarchy-cert-dir-in-file", "ensemble-dump-dir-in-file"])
     def test_exits_2_with_one_line(self, files, tmp_path, monkeypatch, argv, message, capsys):
         monkeypatch.chdir(tmp_path)
         argv = [files.get(a, a) for a in argv]
@@ -204,8 +209,8 @@ class TestDefaults:
 class TestHierarchyCommand:
     def test_run_with_artifacts(self, quad_file, tmp_path, capsys):
         csv = tmp_path / "levels.csv"
-        certs = tmp_path / "certs"
-        certs.mkdir()
+        # a new nested directory: it used to fail after level 1 was solved
+        certs = tmp_path / "new" / "certs"
         code = run_cli("hierarchy", quad_file, "--max-level", "3",
                        "--csv", str(csv), "--cert-dir", str(certs), "--json")
         assert code == 0
@@ -325,6 +330,12 @@ class TestEnsembleCommand:
     def test_zero_count(self, capsys):
         assert run_cli("random-ensemble", "--count", "0") == 0
         assert "count=0" in capsys.readouterr().out
+
+    def test_dump_dir_is_made(self, tmp_path, capsys):
+        # before any instance is drawn, failing or not
+        dump = tmp_path / "new" / "failures"
+        assert run_cli("random-ensemble", "--count", "0", "--dump-dir", str(dump)) == 0
+        assert dump.is_dir()
 
     def test_seed_repeat_identical_table(self, capsys):
         assert run_cli("random-ensemble", "--count", "3", "--seed", "5") == 0

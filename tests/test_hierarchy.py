@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from polyopt import PopInstance, Polynomial, ball_constraint, run_hierarchy
+from polyopt import PopInstance, Polynomial, ball_constraint, ensemble, hierarchy, \
+    run_hierarchy
 from polyopt.errors import LevelError
 from polyopt.gallery import gallery_instance, gallery_names
 from polyopt.hierarchy import STOP_FLAT, STOP_LEVEL_CAP, STOP_STAGNATION
@@ -9,6 +10,10 @@ from polyopt.solver import SolverOptions
 from polyopt.ensemble import random_instance, run_ensemble
 
 from oracles import grid_minimize
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("work started before the directory was made")
 
 
 class TestDriver:
@@ -119,6 +124,17 @@ class TestDriver:
                 passed, _ = verify_certificate(cert, embedded)
                 assert passed
 
+    def test_certificate_dir_is_made_before_any_level(self, tmp_path, monkeypatch):
+        # a new nested directory used to fail after the first level was solved
+        certs = tmp_path / "new" / "certs"
+        run = run_hierarchy(gallery_instance("quadratic-ball"), k_max=3, certificate_dir=certs)
+        written = [rec.certificate_path for rec in run.levels if rec.certificate_path]
+        assert written and sorted(map(str, certs.iterdir())) == sorted(written)
+        monkeypatch.setattr(hierarchy, "build_sos_relaxation", _no_build)
+        with pytest.raises(NotADirectoryError):
+            run_hierarchy(gallery_instance("quadratic-ball"),
+                          certificate_dir=written[0] + "/certs")
+
     def test_values_monotone(self):
         inst = gallery_instance("motzkin-ball")
         run = run_hierarchy(inst, k_min=3, k_max=5)
@@ -195,6 +211,17 @@ class TestEnsemble:
         # dumped failures match the summary count
         dumped = list(tmp_path.glob("failure_*.json"))
         assert len(dumped) == len(summary.failures())
+
+    def test_dump_dir_is_made_before_any_instance(self, tmp_path, monkeypatch):
+        # it used to be made after the run, and only for failures
+        dump = tmp_path / "new" / "failures"
+        run_ensemble(nvars=2, degree=2, count=0, seed=1, dump_dir=dump)
+        assert dump.is_dir()
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(ensemble, "_run_single", _no_build)
+        with pytest.raises(NotADirectoryError):
+            run_ensemble(nvars=2, degree=2, count=2, seed=1, dump_dir=blocker / "failures")
 
     def test_too_many_equalities_raise_before_any_draw(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +199,22 @@ class TestBasis:
         b = basis(2, 3)
         for i, mono in enumerate(b):
             assert b.index[mono] == i
+
+
+class TestCopies:
+    """Immutable values copy and pickle through their constructors."""
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_polynomial_and_basis(self, how):
+        dup = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+               "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how]
+        p = Polynomial(2, {(1, 0): 1.0, (0, 2): -0.5})
+        q = dup(p)
+        assert q == p and q.sorted_terms() == p.sorted_terms()
+        with pytest.raises(AttributeError, match="immutable"):
+            q.nvars = 3
+        # a copied basis is the shared one of ``basis``
+        assert dup(basis(2, 2)) is basis(2, 2)
 
 
 class TestText:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -133,20 +135,90 @@ class TestFrozen:
         with pytest.raises(dataclasses.FrozenInstanceError):
             mom.c_free = 2.0 * mom.c_free
         # what was built still solves the same, routed or direct
-        value = -solve(dataclasses.replace(m2, dual_of=None)).primal_objective
+        value = -solve(dataclasses.replace(m2)).primal_objective
         assert value == pytest.approx(-0.2857142857, abs=1e-7)
         assert -solve(mom).primal_objective == pytest.approx(value, abs=1e-7)
         assert -solve(m2).primal_objective == pytest.approx(value, abs=1e-7)
 
     def test_replace_without_the_link_runs_directly(self):
         mom = build_moment_relaxation(gallery_instance("quadratic-ball"), 2)
-        direct = dataclasses.replace(mom, dual_of=None)
+        direct = dataclasses.replace(mom)
         assert direct.dual_of is None and mom.dual_of is not None
         assert direct.name == mom.name and direct.layout is mom.layout
         assert not direct.b_free.flags.writeable
         sol = solve(direct)
         assert sol.status == "optimal"
         assert all("solved as the dual" not in note for note in sol.notes)
+
+
+def _pickled(prob):
+    return pickle.loads(pickle.dumps(prob))
+
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": _pickled}
+
+
+class TestDualLink:
+    """``dual()`` is the only maker of a ``dual_of`` link, on every path."""
+
+    def test_replace_drops_the_link(self):
+        # a replace that changes the data used to keep the link and was
+        # answered from the unedited source: -0.2857 instead of -0.5714
+        mom = build_moment_relaxation(gallery_instance("quadratic-ball"), 2)
+        edited = dataclasses.replace(mom, c_free=2.0 * mom.c_free)
+        assert edited.dual_of is None and dataclasses.replace(mom).dual_of is None
+        assert -solve(edited).primal_objective == pytest.approx(-0.5714285714, abs=1e-7)
+
+    def test_link_cannot_be_passed(self):
+        sos = build_sos_relaxation(gallery_instance("quadratic-ball"), 2)
+        mom = sos.dual()
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(mom, dual_of=sos)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(mom, dual_of=None)
+        fields = dict(block_sizes=mom.block_sizes, a_blocks=mom.a_blocks, b_free=mom.b_free,
+                      rhs=mom.rhs, c_free=mom.c_free)
+        with pytest.raises(TypeError, match="dual_of"):
+            SdpProblem(**fields, dual_of=sos)
+        assert SdpProblem(**fields).dual_of is None
+
+    def test_dual_defaults(self):
+        dual = build_sos_relaxation(gallery_instance("quadratic-ball"), 2).dual()
+        assert dual.name == "" and dual.layout is None
+
+    @pytest.mark.parametrize("how", list(COPIES))
+    def test_copy_of_a_linked_problem(self, how):
+        # deepcopy and pickle used to give writable arrays with the link kept,
+        # so an edit of the copy was answered from the unedited source
+        mom = build_moment_relaxation(gallery_instance("quadratic-ball"), 2)
+        dup = COPIES[how](mom)
+        assert dup.to_text() == mom.to_text()
+        assert (dup.name, dup.layout) == (mom.name, mom.layout)
+        for arr in TestFrozen.held_arrays(dup):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dup.c_free[:] *= 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dup.c_free = 2.0 * mom.c_free
+        if how == "copy":
+            assert dup.dual_of is mom.dual_of
+        else:
+            assert dup.dual_of is not mom.dual_of
+            assert dup.dual_of.to_text() == mom.dual_of.to_text()
+        sol = solve(dup)
+        assert sol.notes[:1] == ["solved as the dual of sos-level-2"]
+        assert sol.primal_objective == solve(mom).primal_objective
+
+    @pytest.mark.parametrize("how", list(COPIES))
+    def test_copy_of_a_problem_with_an_equality(self, how):
+        # its layout holds a monomial basis, which could not be pickled
+        sos = build_sos_relaxation(gallery_instance("equality-quadratic"), 2)
+        dup = COPIES[how](sos)
+        assert dup.to_text() == sos.to_text() and dup.dual_of is None
+        for arr in TestFrozen.held_arrays(dup):
+            assert not arr.flags.writeable
+        for (start, bas), (start0, bas0) in zip(dup.layout.phi_slices, sos.layout.phi_slices):
+            assert start == start0 and bas is bas0
 
 
 class TestTextFormat:
@@ -262,7 +334,7 @@ class TestDual:
         primal_sol = solve(prob)
         scale = abs(primal_sol.primal_objective)
         # answered from prob, and solved on its own with the link dropped
-        routed, direct = solve(dual), solve(dataclasses.replace(dual, dual_of=None))
+        routed, direct = solve(dual), solve(dataclasses.replace(dual))
         assert routed.notes[:1] == ["solved as the dual of its source problem"]
         assert routed.iterations == primal_sol.iterations
         assert all("solved as the dual" not in note for note in direct.notes)

@@ -416,7 +416,7 @@ SCHUR_CASES = {
     "one-chunk-csr": (lambda: build_sos_relaxation(gallery_instance("motzkin-ball"), 3), None),
     "permuted-csr": (lambda: build_sos_relaxation(gallery_instance("motzkin-ball"), 5), None),
     "moment-linkless": (lambda: dataclasses.replace(
-        build_moment_relaxation(gallery_instance("motzkin-ball"), 4), dual_of=None), None),
+        build_moment_relaxation(gallery_instance("motzkin-ball"), 4)), None),
     "dense": (lambda: build_sos_relaxation(
         random_instance(2, 2, np.random.default_rng(101)), 1), None),
     "permuted-with-dense": (eighth_power_ball_problem, 1 << 14),
@@ -510,7 +510,7 @@ cases += [(f"stress key={key}", build_sos_relaxation(stress_instance(key), 4))
 # without the link to their SOS source, so that the moment form's own KKT
 # solves run
 cases += [(f"corpus i={i} moment", dataclasses.replace(
-    build_moment_relaxation(corpus[i], corpus[i].min_level() + 1), dual_of=None))
+    build_moment_relaxation(corpus[i], corpus[i].min_level() + 1)))
           for i in (5, 29)]
 out = []
 for name, prob in cases:
@@ -536,7 +536,7 @@ class TestFreeColumns:
     def test_moment_corpus_level_optimal(self, index):
         inst = dict(corpus_instances(spawn_key=1, count=index + 1))[index]
         prob = build_moment_relaxation(inst, inst.min_level() + 1)
-        sol = solve(dataclasses.replace(prob, dual_of=None))
+        sol = solve(dataclasses.replace(prob))
         assert sol.status == "optimal", (sol.residuals, sol.notes)
         assert max(sol.residuals.values()) <= 1e-8, sol.residuals
 
@@ -552,7 +552,7 @@ class TestFreeColumns:
             prob = build_moment_relaxation(gallery_instance("quadratic-ball"), 2)
             row = int(np.flatnonzero(~np.isin(np.arange(prob.nrows),
                                               np.concatenate([b.rows for b in prob.a_blocks])))[0])
-        base = solve(dataclasses.replace(prob, dual_of=None))
+        base = solve(dataclasses.replace(prob))
         sol = solve(with_row_repeated(prob, row))
         assert base.status == sol.status == "optimal", (sol.residuals, sol.notes)
         assert abs(sol.primal_objective - base.primal_objective) <= \
@@ -645,7 +645,7 @@ class TestAnsweredFromTheSource:
         assert solve(prob.dual_of).status == "near_optimal"
         sol = solve(prob)
         assert sol.status == "optimal"
-        assert_identical(sol, solve(dataclasses.replace(prob, dual_of=None)))
+        assert_identical(sol, solve(dataclasses.replace(prob)))
 
     def test_motzkin_moment_level_5_ends_within_40_iterations(self):
         # run on its own KKT system (2,227 rows, 286 free columns) it stalls
