@@ -14,12 +14,11 @@ of a Gram matrix, not further evidence, so ``gram.squares()`` renders them
 from the stored matrix when a certificate is written, and reading a file
 does not parse them back.
 
-Pseudo-moments y of a level-k relaxation are one array indexed by
-``basis(n, 2k)``.  That graded-lex order is the order of both the SOS rows
-(``row_monomials``) and the moment form's free columns (``free_monomials``),
-so the solver's array is used as it is.  Lower degrees come first, so the
-moments of degree <= 2t are a prefix of y, and the moment matrix M_t(y) is
-the leading ``basis_size(n, t)`` block of M_k(y).
+Everything here that reads a solution reads it through the layout's lift
+(``relaxation.SosLayout.lift`` and ``MomentLayout.lift``), which owns the map
+from the solved SDP back to the instance.  Pseudo-moments y of a level-k
+relaxation are one array indexed by ``basis(n, 2k)``, so the moment matrix
+M_t(y) is the leading ``basis_size(n, t)`` block of M_k(y).
 """
 
 from __future__ import annotations
@@ -51,10 +50,9 @@ MINIMIZER_FEAS_TOL = 1e-6   # constraint violation allowed at an extracted point
 class MomentVector:
     """Pseudo-moments of degree <= 2*level, y_0 = 1 once normalized.
 
-    ``values`` is an array indexed by ``basis(nvars, 2*level)``.  Graded-lex
-    order puts lower degrees first, so the moments of degree <= 2t are its
-    first ``basis_size(nvars, 2t)`` entries, and M_t(y) is the leading
-    ``basis_size(nvars, t)`` block of M_level(y).
+    ``values`` is an array indexed by ``basis(nvars, 2*level)``, so the
+    moments of degree <= 2t are its first ``basis_size(nvars, 2t)`` entries,
+    and M_t(y) is the leading ``basis_size(nvars, t)`` block of M_level(y).
     """
 
     nvars: int
@@ -85,22 +83,14 @@ class MomentVector:
 def extract_dual_moments(sol, layout) -> MomentVector:
     """Pseudo-moments of a solved relaxation, normalized so that y_0 is exactly 1.
 
-    ``layout`` is the builder metadata of the solved problem.  In the SOS form
-    the moments are the equality-row multipliers, in the moment form the free
-    values.  Both arrays are indexed by ``basis(n, 2k)`` (``row_monomials``
-    and ``free_monomials``), so they are only divided by y_0.  Raises
-    ``DegenerateDualError`` when y_0 vanishes.
+    ``layout`` is the builder metadata of the solved problem; its lift gives
+    the raw moments over ``basis(n, 2k)``, which are only divided by y_0.
+    Raises ``DegenerateDualError`` when y_0 vanishes.
     """
-    if layout.kind == "sos":
-        raw = sol.dual_vector
-    elif layout.kind == "moment":
-        raw = sol.free_values
-    else:
-        raise ValueError(f"unknown layout kind {layout.kind!r}")
+    raw = layout.lift(sol).moments
     y0 = float(raw[0])
     if abs(y0) < 1e-10:
-        raise DegenerateDualError(
-            f"{layout.kind} solution has y0 = {y0!r}; cannot normalize into moments")
+        raise DegenerateDualError(f"solution has y0 = {y0!r}; cannot normalize into moments")
     return MomentVector(nvars=layout.nvars, level=layout.level, values=raw / y0)
 
 
@@ -297,27 +287,21 @@ def extract_certificate(prob, sol, inst: PopInstance) -> Certificate:
     ``CERT_TOL``; a failed check marks the certificate UNVERIFIED but it is
     still returned.
     """
-    layout = prob.layout
-    if getattr(layout, "kind", None) != "sos":
+    lift = None if prob.layout is None else prob.layout.lift(sol)
+    if lift is None or lift.gamma is None:
         raise ValueError("problem carries no SOS layout; build it with build_sos_relaxation")
-    n = inst.nvars
-    gamma = float(sol.free_values[0])   # free column 0 of the SOS form is gamma
-
-    phi = [Polynomial(n, dict(zip(bas, sol.free_values[start:start + len(bas)])))
-           for start, bas in layout.phi_slices]
-
     grams = []
     notes = []
-    for j, bas in enumerate(layout.block_bases):
-        clipped, neg_mass = gram_clip_psd(sol.x_blocks[j])
+    for j, (bas, matrix) in enumerate(lift.grams):
+        clipped, neg_mass = gram_clip_psd(matrix)
         if neg_mass > 0:
             notes.append(f"gram {j}: clipped negative eigenvalue mass {neg_mass:.3e}")
-        grams.append(GramBlock(basis=tuple(bas), matrix=clipped))
+        grams.append(GramBlock(basis=bas, matrix=clipped))
 
     cert = Certificate(
-        gamma=gamma, phi=phi, sigma_grams=grams,
+        gamma=lift.gamma, phi=list(lift.phi), sigma_grams=grams,
         identity_residual=0.0, verified=False,
-        level=layout.level, tolerance=CERT_TOL, nvars=n, notes=notes)
+        level=prob.layout.level, tolerance=CERT_TOL, nvars=inst.nvars, notes=notes)
     cert.verified, cert.identity_residual = verify_certificate(cert, inst)
     if not cert.verified:
         cert.notes.append(

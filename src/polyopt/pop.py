@@ -84,10 +84,6 @@ class PopInstance:
         over = [(amount, label) for (amount, label, _), b in zip(signed, bands) if amount > b]
         return max(over, key=lambda v: v[0], default=None)
 
-    def is_feasible(self, point, tol: float = 1e-8) -> bool:
-        """Whether the point is finite and meets every constraint to ``tol``."""
-        return self.worst_violation(point, tol) is None
-
 
 NOT_FINITE = "point (not finite)"   # worst_violation's label for a NaN, inf or overflowing point
 

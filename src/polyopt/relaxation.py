@@ -19,6 +19,12 @@ then the Gram-entry rows.
 
 Both builders are deterministic: the same instance and level produce
 identical problem data, with the SOS rows in graded-lex monomial order.
+
+A built problem's layout (``SosLayout`` or ``MomentLayout``) alone maps a
+solution back to the instance: ``layout.lift(sol)`` is a ``Lift``.  Both forms
+index the pseudo-moments y by ``basis(n, 2k)``, the SOS rows and the moment
+free columns alike, so the solver's array is y as it is, and the moments of
+degree <= 2t are a prefix of it.
 """
 
 from __future__ import annotations
@@ -49,26 +55,50 @@ def augment_archimedean(inst: PopInstance, radius_sq: float) -> PopInstance:
     return PopInstance(f=inst.f, h=inst.h, g=inst.g + (extra,), metadata=meta)
 
 
+@dataclass(frozen=True)
+class Lift:
+    """A solved relaxation read back onto the instance: the level's bound, the
+    raw pseudo-moments y over ``basis(nvars, 2*level)`` (not divided by y_0)
+    and, in the SOS form only, gamma, one phi polynomial per equality and one
+    (basis, Gram matrix) pair per g_j, g_0 = 1 first."""
+
+    value: float
+    moments: np.ndarray
+    gamma: float | None = None
+    phi: tuple | None = None
+    grams: tuple | None = None
+
+
 @dataclass
 class SosLayout:
     """Row/variable bookkeeping of a built SOS relaxation; free column 0 is gamma."""
 
-    kind: str
     level: int
     nvars: int
     row_monomials: tuple
     phi_slices: list          # per equality: (first free index, monomial basis)
     block_bases: list         # per block j = 0..m2: monomial basis of the Gram block
 
+    def lift(self, sol) -> Lift:
+        """y are the row multipliers, and block j is the Gram matrix of sigma_j."""
+        phi = tuple(Polynomial(self.nvars, dict(zip(bas, sol.free_values[start:start + len(bas)])))
+                    for start, bas in self.phi_slices)
+        return Lift(value=float(sol.primal_objective), moments=sol.dual_vector,
+                    gamma=float(sol.free_values[0]), phi=phi,
+                    grams=tuple(zip(self.block_bases, sol.x_blocks)))
+
 
 @dataclass
 class MomentLayout:
     """Variable bookkeeping of a built moment relaxation (y are the free scalars)."""
 
-    kind: str
     level: int
     nvars: int
     free_monomials: tuple
+
+    def lift(self, sol) -> Lift:
+        """The form maximizes -L_y(f), so the bound is minus its objective."""
+        return Lift(value=-float(sol.primal_objective), moments=sol.free_values)
 
 
 def _gram_bases(inst: PopInstance, k: int):
@@ -132,11 +162,8 @@ def build_sos_relaxation(inst: PopInstance, k: int) -> SdpProblem:
     c_free = np.zeros(nfree)
     c_free[0] = 1.0
 
-    layout = SosLayout(
-        kind="sos", level=k, nvars=n,
-        row_monomials=tuple(rows.entries),
-        phi_slices=phi_slices,
-        block_bases=[tuple(b.entries) for b in bases])
+    layout = SosLayout(level=k, nvars=n, row_monomials=tuple(rows.entries),
+                       phi_slices=phi_slices, block_bases=[tuple(b.entries) for b in bases])
     return SdpProblem(
         block_sizes=[len(b) for b in bases],
         a_blocks=a_blocks, b_free=b_free, rhs=rhs, c_free=c_free,
@@ -154,17 +181,12 @@ def build_moment_relaxation(inst: PopInstance, k: int) -> SdpProblem:
     """
     sos = build_sos_relaxation(inst, k)
     return sos.dual(name=f"moment-level-{k}",
-                    layout=MomentLayout(kind="moment", level=k, nvars=sos.layout.nvars,
+                    layout=MomentLayout(level=k, nvars=sos.layout.nvars,
                                         free_monomials=sos.layout.row_monomials))
 
 
 def relaxation_value(prob: SdpProblem, sol) -> float:
     """The hierarchy lower bound f_k encoded by a solved relaxation."""
-    layout = prob.layout
-    if layout is None:
+    if prob.layout is None:
         raise ValueError("problem has no relaxation layout")
-    if layout.kind == "sos":
-        return float(sol.primal_objective)
-    if layout.kind == "moment":
-        return -float(sol.primal_objective)
-    raise ValueError(f"unknown layout kind {layout.kind!r}")
+    return prob.layout.lift(sol).value

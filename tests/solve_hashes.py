@@ -17,7 +17,9 @@ flat truncation ends flat with rank 1 also gets a ``<solve>-audit`` hash
 over the ``(point, reason)`` that ``extract_minimizer_rank1`` returns at the
 flat order (given the instance and the level's bound, as ``run_hierarchy``
 gives them) and, for an accepted point, ``audit_point(inst, u,
-tol=AUDIT_TOL).to_dict()``.  Each solved problem also
+tol=AUDIT_TOL).to_dict()``.  Each moment-form solve gets a
+``<solve>-moments`` hash over ``extract_dual_moments(sol, prob.layout).values``,
+the moment side of the layout's lift.  Each solved problem also
 gets a ``<solve>-problem`` hash of its ``to_text()`` export, so a change to
 how the coefficients are stored shows whether the text stays byte-identical.
 A step that raises is hashed as its error message.  The solves are:
@@ -36,8 +38,9 @@ A step that raises is hashed as its error message.  The solves are:
 of (``SdpProblem.dual_of``).  So each of the 180 moment-form problems is
 hashed twice: under ``<name>`` as solved with that link removed (a
 ``dataclasses.replace`` copy has none), which runs the moment form's own KKT
-system, and under ``<name>-routed`` as ``solve`` returns it.  That makes 974 solve, 974 problem, 614 artifact and 338 audit
-hashes (2,900 in all).
+system, and under ``<name>-routed`` as ``solve`` returns it.  That makes
+974 solve, 974 problem, 614 artifact, 338 audit and 360 moments hashes
+(3,260 in all).
 
 BLAS is pinned to one thread, since the reduction order of more threads
 changes the rounding; ``--threads N`` pins it to N instead, so that a
@@ -77,6 +80,7 @@ from polyopt.certify import certificate_to_dict  # noqa: E402
 from polyopt.errors import PolyOptError  # noqa: E402
 from polyopt.ensemble import AUDIT_TOL, random_instance, random_polynomial  # noqa: E402
 from polyopt.gallery import gallery_instance  # noqa: E402
+from polyopt.relaxation import SosLayout  # noqa: E402
 
 from corpus import corpus_instances  # noqa: E402
 
@@ -150,6 +154,17 @@ def artifacts_hashes(inst, prob, sol):
     return digest.hexdigest(), audit
 
 
+def moments_hash(prob, sol) -> str:
+    """The moments hash of a moment-form solve."""
+    digest = hashlib.sha256()
+    try:
+        moments = extract_dual_moments(sol, prob.layout)
+        digest.update(np.ascontiguousarray(moments.values).tobytes())
+    except PolyOptError as exc:
+        digest.update(repr(exc).encode())
+    return digest.hexdigest()
+
+
 def audit_hash(inst, moments, value) -> str:
     digest = hashlib.sha256()
     point, reason = extract_minimizer_rank1(moments, inst, value)
@@ -177,11 +192,13 @@ def main(argv=None) -> int:
         hashes[name] = [solve_hash(sol), sol.status, str(sol.iterations)]
         hashes[f"{name}-problem"] = [hashlib.sha256(prob.to_text().encode()).hexdigest()]
         iterations += sol.iterations
-        if prob.layout.kind == "sos":
+        if isinstance(prob.layout, SosLayout):
             artifacts, audit = artifacts_hashes(inst, prob, sol)
             hashes[f"{name}-artifacts"] = [artifacts]
             if audit is not None:
                 hashes[f"{name}-audit"] = [audit]
+        else:
+            hashes[f"{name}-moments"] = [moments_hash(prob, sol)]
     lines = [" ".join([name, *fields]) + "\n" for name, fields in hashes.items()]
     if args.out:
         with open(args.out, "w") as fh:

@@ -130,7 +130,7 @@ def test_criterion_2_generic_finite_convergence(ensemble):
         u = run.minimizer
         if u is None:
             continue
-        if not inst.is_feasible(u, 1e-6):
+        if inst.worst_violation(u, 1e-6) is not None:
             continue
         if abs(inst.f.eval(u) - run.final_value) > 1e-5:
             continue

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from polyopt import PopInstance, Polynomial, augment_archimedean, ball_constraint, \
-    build_moment_relaxation, build_sos_relaxation, motzkin, relaxation_value, solve
-from polyopt.certify import extract_dual_moments
+from polyopt import PopInstance, Polynomial, SolverOptions, augment_archimedean, \
+    ball_constraint, build_moment_relaxation, build_sos_relaxation, motzkin, \
+    relaxation_value, solve
+from polyopt.certify import extract_certificate, extract_dual_moments
 from polyopt.errors import LevelError
 from polyopt.gallery import gallery_instance
 from polyopt.polynomials import basis
+from polyopt.solver import NEAR_TOL, STATUS_OPTIMAL
 
 from corpus import corpus_instances
 from oracles import grid_minimize
@@ -68,13 +71,15 @@ class TestSosBuilder:
         assert prob.block_sizes == (20, 10)
 
     def test_phi_dimension(self):
-        # deg f = 4, deg h = 2, k = 2: multiplier basis has degree 2k - 2 = 2
+        # deg f = 4, deg h = 2, k = 2: the multiplier has degree 2k - 2 = 2
         inst = PopInstance(
             f=Polynomial(2, {(4, 0): 1.0, (0, 4): 1.0}),
             h=(Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}),))
         prob = build_sos_relaxation(inst, 2)
-        start, bas = prob.layout.phi_slices[0]
-        assert len(bas) == 6  # binomial(2 + 2, 2)
+        lift = prob.layout.lift(solve(prob))
+        assert len(lift.phi) == 1
+        assert lift.phi[0].degree == 2
+        assert [len(bas) for bas, _ in lift.grams] == [6]   # basis(2, 2) for g_0 = 1
 
     def test_level_error_names_minimum(self):
         inst = PopInstance(f=motzkin(), g=(ball_constraint(3, 1.0),))
@@ -157,6 +162,44 @@ class TestMomentBuilder:
         expected[0] = y[(0,) * n] - 1.0
         expected[1:1 + len(ideal)] = ideal
         assert np.abs(residual - expected).max() <= 1e-12
+
+
+class TestLift:
+    @pytest.mark.parametrize("case", ["quadratic-ball", "equality-quadratic"])
+    def test_sos_and_moment_lifts_agree(self, case):
+        inst = gallery_instance(case)
+        sos = build_sos_relaxation(inst, 2)
+        mom = build_moment_relaxation(inst, 2)
+        sos_sol = solve(sos)
+        sos_lift = sos.layout.lift(sos_sol)
+        routed = mom.layout.lift(solve(mom))
+        direct = mom.layout.lift(solve(dataclasses.replace(mom)))
+        if sos_sol.status == STATUS_OPTIMAL:
+            # the routed solve is the SOS run read as its dual
+            assert np.array_equal(routed.moments, sos_lift.moments)
+            tol = SolverOptions().tol_gap
+        else:
+            # equality-quadratic's SOS level 2 ends near_optimal, so the
+            # routed solve falls back to the direct run
+            assert np.array_equal(routed.moments, direct.moments)
+            tol = NEAR_TOL
+        assert np.abs(direct.moments - sos_lift.moments).max() <= 1e-6
+        assert abs(sos_lift.value - routed.value) <= tol * (1.0 + abs(routed.value))
+        assert sos_lift.gamma == sos_lift.value
+        assert len(sos_lift.phi) == len(inst.h)
+        assert len(sos_lift.grams) == len(inst.g) + 1
+        assert (routed.gamma, routed.phi, routed.grams) == (None, None, None)
+
+    def test_certificate_needs_an_sos_lift(self):
+        mom = build_moment_relaxation(gallery_instance("quadratic-ball"), 2)
+        with pytest.raises(ValueError, match="no SOS layout"):
+            extract_certificate(mom, solve(mom), gallery_instance("quadratic-ball"))
+
+    def test_value_needs_a_layout(self):
+        sos = build_sos_relaxation(gallery_instance("quadratic-ball"), 2)
+        bare = dataclasses.replace(sos, layout=None)
+        with pytest.raises(ValueError, match="no relaxation layout"):
+            relaxation_value(bare, solve(bare))
 
 
 class TestDuality:

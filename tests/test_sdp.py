@@ -217,8 +217,10 @@ class TestDualLink:
         assert dup.to_text() == sos.to_text() and dup.dual_of is None
         for arr in TestFrozen.held_arrays(dup):
             assert not arr.flags.writeable
-        for (start, bas), (start0, bas0) in zip(dup.layout.phi_slices, sos.layout.phi_slices):
-            assert start == start0 and bas is bas0
+        sol = solve(sos)
+        lift, lift0 = dup.layout.lift(sol), sos.layout.lift(sol)
+        assert len(lift.phi) == 1 and lift.phi == lift0.phi
+        assert [bas for bas, _ in lift.grams] == [bas for bas, _ in lift0.grams]
 
 
 class TestTextFormat:
