@@ -6,7 +6,7 @@ drops out of the rank-1 moments.  The Motzkin polynomial over the unit ball
 is the classic exception: the bounds increase toward 0 forever and the rank
 test never fires.
 
-Run with:  python3 demos/04_motzkin_hierarchy.py   (about a minute)
+Run with:  python3 demos/04_motzkin_hierarchy.py   (a few seconds)
 """
 
 from polyopt import run_hierarchy

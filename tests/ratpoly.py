@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from polyopt import Polynomial
+
 
 class RatPoly:
     def __init__(self, nvars, terms=None):
@@ -70,3 +72,21 @@ class RatPoly:
                 term *= Fraction(sq) ** (e // 2)
             total += term
         return total
+
+
+def ratpoly_defect(cert, inst):
+    """f - gamma - sum phi_i h_i - sum sigma_j g_j in exact arithmetic, with
+    each sigma_j expanded from the certificate's Gram matrix."""
+    n = inst.nvars
+    defect = RatPoly.from_float_poly(inst.f) - RatPoly(n, {(0,) * n: cert.gamma})
+    for phi, h in zip(cert.phi, inst.h):
+        defect = defect - RatPoly.from_float_poly(phi) * RatPoly.from_float_poly(h)
+    g_all = [Polynomial.constant(n, 1.0)] + list(inst.g)
+    for gram, g in zip(cert.sigma_grams, g_all):
+        terms = {}
+        for p, mp in enumerate(gram.basis):
+            for q, mq in enumerate(gram.basis):
+                mono = tuple(a + b for a, b in zip(mp, mq))
+                terms[mono] = terms.get(mono, Fraction(0)) + Fraction(gram.matrix[p, q])
+        defect = defect - RatPoly(n, terms) * RatPoly.from_float_poly(g)
+    return defect

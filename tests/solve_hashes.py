@@ -1,4 +1,4 @@
-"""One SHA-256 per solve over a fixed set of 974 SDP solves, to check that a
+"""One SHA-256 per solve over a fixed set of 978 SDP solves, to check that a
 change to the solver, the builders, the SDP data model or ``certify`` leaves
 every built problem, every solve and its post-solve artifacts bit-identical.
 
@@ -24,7 +24,9 @@ gets a ``<solve>-problem`` hash of its ``to_text()`` export, so a change to
 how the coefficients are stored shows whether the text stays byte-identical.
 A step that raises is hashed as its error message.  The solves are:
 
-* gallery ``motzkin-ball``, SOS form, levels 3-6 (4 solves);
+* gallery ``motzkin-ball``, SOS form, levels 3-6, split by its sign
+  symmetries (``motzkin-sos-*``) and whole, as ``unreduced.py`` builds them
+  (``motzkin-full-sos-*``; 8 solves);
 * the ``ensemble-small`` benchmark recipe at seed 101 (200 random quadratics
   over the unit disk), SOS form, levels 1 and 2 (400 solves);
 * the acceptance corpus (``corpus.py``, spawn key 1) in moment form at
@@ -39,8 +41,8 @@ of (``SdpProblem.dual_of``).  So each of the 180 moment-form problems is
 hashed twice: under ``<name>`` as solved with that link removed (a
 ``dataclasses.replace`` copy has none), which runs the moment form's own KKT
 system, and under ``<name>-routed`` as ``solve`` returns it.  That makes
-974 solve, 974 problem, 614 artifact, 338 audit and 360 moments hashes
-(3,260 in all).
+978 solve, 978 problem, 618 artifact, 338 audit and 360 moments hashes
+(3,272 in all).
 
 BLAS is pinned to one thread, since the reduction order of more threads
 changes the rounding; ``--threads N`` pins it to N instead, so that a
@@ -83,6 +85,7 @@ from polyopt.gallery import gallery_instance  # noqa: E402
 from polyopt.relaxation import SosLayout  # noqa: E402
 
 from corpus import corpus_instances  # noqa: E402
+from unreduced import unreduced_sos  # noqa: E402
 
 ENSEMBLE_SEED = 101
 EQUALITY_SEED = 7
@@ -96,10 +99,12 @@ def moment_forms(name, inst, k):
 
 
 def problems():
-    """Yield (name, PopInstance, SdpProblem) for the 974 solves, in a fixed order."""
+    """Yield (name, PopInstance, SdpProblem) for the 978 solves, in a fixed order."""
     motzkin = gallery_instance("motzkin-ball")
     for k in range(3, 7):
         yield f"motzkin-sos-{k}", motzkin, build_sos_relaxation(motzkin, k)
+    for k in range(3, 7):
+        yield f"motzkin-full-sos-{k}", motzkin, unreduced_sos(motzkin, k)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=ENSEMBLE_SEED))
     for i in range(200):
         inst = PopInstance(f=random_polynomial(2, 2, rng), g=(ball_constraint(2, 1.0),))

@@ -9,12 +9,17 @@ from polyopt import PopInstance, Polynomial, SolverOptions, augment_archimedean,
     relaxation_value, solve
 from polyopt.certify import extract_certificate, extract_dual_moments
 from polyopt.errors import LevelError
-from polyopt.gallery import gallery_instance
+from polyopt.gallery import gallery_instance, gallery_names
+from polyopt import hierarchy as hierarchy_module
+from polyopt.hierarchy import run_hierarchy
 from polyopt.polynomials import basis
+from polyopt.relaxation import _classes, _sign_group
 from polyopt.solver import NEAR_TOL, STATUS_OPTIMAL
 
 from corpus import corpus_instances
 from oracles import grid_minimize
+from ratpoly import ratpoly_defect
+from unreduced import unreduced_sos
 
 
 def random_archimedean_instance(rng, nvars, degree):
@@ -58,17 +63,28 @@ class TestAugment:
 
 class TestSosBuilder:
     def test_univariate_square(self):
+        # x -> -x fixes x^2: the rows are 1 and x^2, and the Gram block over
+        # (1, x) splits into (1) and (x)
         inst = PopInstance(f=Polynomial(1, {(2,): 1.0}))
         prob = build_sos_relaxation(inst, 1)
-        assert prob.block_sizes == (2,)
-        assert prob.nrows == 3
-        sol = solve(prob)
-        assert relaxation_value(prob, sol) == pytest.approx(0.0, abs=1e-7)
+        assert prob.block_sizes == (1, 1)
+        assert prob.nrows == 2
+        full = unreduced_sos(inst, 1)
+        assert (full.block_sizes, full.nrows) == ((2,), 3)
+        for p in (prob, full):
+            sol = solve(p)
+            assert relaxation_value(p, sol) == pytest.approx(0.0, abs=1e-7)
 
     def test_motzkin_block_sizes(self):
+        # all 8 flips fix the instance: 20 invariant rows of degree <= 6, and
+        # the Gram blocks of g_0 = 1 (20) and of the ball (10) split by class
         inst = PopInstance(f=motzkin(), g=(ball_constraint(3, 1.0),))
         prob = build_sos_relaxation(inst, 3)
-        assert prob.block_sizes == (20, 10)
+        assert prob.nrows == 20
+        assert prob.block_sizes == (4, 4, 4, 4, 1, 1, 1, 1, 4, 1, 1, 1, 1, 1, 1)
+        assert [j for j, _ in prob.layout.blocks] == [0] * 8 + [1] * 7
+        full = unreduced_sos(inst, 3)
+        assert (full.block_sizes, full.nrows) == ((20, 10), 84)
 
     def test_phi_dimension(self):
         # deg f = 4, deg h = 2, k = 2: the multiplier has degree 2k - 2 = 2
@@ -96,7 +112,7 @@ class TestSosBuilder:
         p1 = build_sos_relaxation(inst, 2)
         p2 = build_sos_relaxation(inst, 2)
         assert p1.to_text() == p2.to_text()
-        assert p1.layout.row_monomials == p2.layout.row_monomials
+        assert p1.layout == p2.layout
 
 
 class TestMomentBuilder:
@@ -200,6 +216,100 @@ class TestLift:
         bare = dataclasses.replace(sos, layout=None)
         with pytest.raises(ValueError, match="no relaxation layout"):
             relaxation_value(bare, solve(bare))
+
+
+GROUP_ORDERS = {"motzkin-ball": 8, "quartic-flat": 2, "two-minima": 2}
+
+
+class TestSignSplit:
+    """The split by sign symmetries keeps each level's bound, and the lift
+    reads it back in the instance's own shape."""
+
+    @pytest.mark.parametrize("name", gallery_names())
+    def test_group_order(self, name):
+        inst = gallery_instance(name)
+        group = _sign_group(inst)
+        assert 2 ** len(group) == GROUP_ORDERS.get(name, 1)
+        if name == "two-minima":
+            # h = x2 changes sign under the x2 flip, so only x1 may flip
+            assert group == ((1, 0),)
+        if not group:
+            for k in (inst.min_level(), inst.min_level() + 1):
+                prob, full = build_sos_relaxation(inst, k), unreduced_sos(inst, k)
+                assert prob.to_text() == full.to_text()
+                assert prob.layout == full.layout
+
+    def test_random_instances_have_no_symmetry(self):
+        rng = np.random.default_rng(5)
+        insts = [inst for _, inst in corpus_instances(spawn_key=1)]
+        insts += [random_archimedean_instance(rng, 2, 2) for _ in range(10)]
+        assert all(_sign_group(inst) == () for inst in insts)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_motzkin_bound_matches_the_unsplit_level(self, k):
+        inst = gallery_instance("motzkin-ball")
+        prob, full = build_sos_relaxation(inst, k), unreduced_sos(inst, k)
+        sol, full_sol = solve(prob), solve(full)
+        assert sol.status == full_sol.status == STATUS_OPTIMAL
+        value, full_value = relaxation_value(prob, sol), relaxation_value(full, full_sol)
+        assert abs(value - full_value) <= 1e-8 * (1.0 + abs(full_value))
+        # the unsplit central path is already symmetric
+        dropped = np.setdiff1d(np.arange(full.nrows), prob.layout.rows)
+        assert np.abs(full_sol.dual_vector[dropped]).max() <= 1e-12
+        assert np.abs(full_sol.dual_vector[list(prob.layout.rows)]).max() > 1e-3
+
+    def test_lift_scatters_the_split_solution(self):
+        inst = gallery_instance("motzkin-ball")
+        prob = build_sos_relaxation(inst, 4)
+        sol = solve(prob)
+        lift = prob.layout.lift(sol)
+        rows = list(prob.layout.rows)
+        assert len(lift.moments) == len(basis(3, 8))
+        assert np.array_equal(lift.moments[rows], sol.dual_vector)
+        assert not np.delete(lift.moments, rows).any()
+        assert [len(bas) for bas, _ in lift.grams] == [35, 20]
+        for (j, part), x in zip(prob.layout.blocks, sol.x_blocks):
+            bas, gram = lift.grams[j]
+            assert np.array_equal(gram[np.ix_(part, part)], x)
+            # zero between this class and every other of the same basis
+            others = np.setdiff1d(np.arange(len(bas)), part)
+            assert not gram[np.ix_(part, others)].any()
+        assert [len(parts) for parts in (_classes(3, 4, _sign_group(inst)),
+                                         _classes(3, 3, _sign_group(inst)))] == [8, 8]
+
+    @pytest.mark.parametrize("name, k", [("motzkin-ball", 3), ("motzkin-ball", 4),
+                                         ("motzkin-ball", 6), ("quartic-flat", 3),
+                                         ("two-minima", 2)])
+    def test_lifted_certificate_reverifies(self, name, k):
+        inst = gallery_instance(name)
+        prob = build_sos_relaxation(inst, k)
+        cert = extract_certificate(prob, solve(prob), inst)
+        assert cert.verified, cert.notes
+        assert [len(gram.basis) for gram in cert.sigma_grams] == \
+            [len(bas) for bas in prob.layout.block_bases]
+        defect = ratpoly_defect(cert, inst)
+        assert max(map(abs, defect.terms.values()), default=0) <= \
+            1e-6 * (1.0 + inst.f.coeff_norm())
+        assert all(np.linalg.eigvalsh(gram.matrix).min() >= -1e-12 for gram in cert.sigma_grams)
+
+    @pytest.mark.parametrize("name, levels, rank", [
+        ("quartic-flat", [2], 2), ("two-minima", [1, 2], 2), ("motzkin-ball", [3, 4], None)])
+    def test_flat_truncation_verdicts(self, name, levels, rank, monkeypatch):
+        # the same verdicts and ranks as the unsplit levels give; x^4 on
+        # [-1, 1] has one minimizer, but its level-2 moments rank 2 either way
+        inst = gallery_instance(name)
+        runs = [run_hierarchy(inst, k_min=levels[0], k_max=levels[-1])]
+        monkeypatch.setattr(hierarchy_module, "build_sos_relaxation", unreduced_sos)
+        runs.append(run_hierarchy(inst, k_min=levels[0], k_max=levels[-1]))
+        for run in runs:
+            assert [rec.level for rec in run.levels] == levels
+            final = run.levels[-1].flat
+            if rank is None:
+                assert all(rec.flat is not None and not rec.flat.is_flat for rec in run.levels)
+            else:
+                assert final.is_flat and final.rank_at(final.flat_at) == rank
+        assert [rec.flat.ranks for rec in runs[0].levels] == \
+            [rec.flat.ranks for rec in runs[1].levels]
 
 
 class TestDuality:

@@ -14,6 +14,7 @@ from polyopt.sdp import CoeffBlock, SdpProblem
 from polyopt.solver import solve
 
 from corpus import corpus_instances
+from unreduced import unreduced_sos
 
 
 def tiny_problem():
@@ -309,7 +310,8 @@ class TestTextFormat:
         # the first two are digests of the text written when A was stored as
         # dense cubes: the sparse storage writes the same records in the same order
         if case == "motzkin-sos-4":
-            prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 4)
+            # the level without its sign-symmetry split
+            prob = unreduced_sos(gallery_instance("motzkin-ball"), 4)
         elif case == "equality-quadratic-moment-2":
             # the ideal rows come right after y_0 = 1, ahead of the Gram-entry rows
             prob = build_moment_relaxation(gallery_instance("equality-quadratic"), 2)
@@ -369,9 +371,9 @@ class TestCoeffBlock:
         assert blk.nbytes == blk.rows.nbytes + blk.cols.nbytes + blk.vals.nbytes
 
     def test_motzkin_level_6_is_small(self):
-        # the dense cubes of this level hold 35.4 MB, the triplets of both
-        # triangles 470,400 bytes, those of the upper triangle 238,896
-        prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 6)
+        # the dense cubes of the unsplit level hold 35.4 MB, the triplets of
+        # both triangles 470,400 bytes, those of the upper triangle 238,896
+        prob = unreduced_sos(gallery_instance("motzkin-ball"), 6)
         assert sum(a.nbytes for a in prob.a_blocks) <= 2 ** 18
 
     @pytest.mark.parametrize("build", ["sos", "dual", "text"])

@@ -4,8 +4,6 @@ import os
 import subprocess
 import sys
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,7 +25,8 @@ from polyopt.solver import SolverOptions, _apply_A, _apply_At, _factor_kkt, _Ite
 
 from corpus import corpus_instances
 from oracles import admm_sdp_solve
-from ratpoly import RatPoly
+from ratpoly import ratpoly_defect
+from unreduced import unreduced_sos
 
 
 def scalar_bound_problem():
@@ -237,7 +236,7 @@ QUADRATIC = PopInstance(f=Polynomial(2, {(2, 0): 1.0, (1, 1): -0.4, (0, 1): 0.3}
 
 # (builder, whether the solver holds its blocks as CSR)
 KERNEL_CASES = {
-    "motzkin-sos-4": (lambda: build_sos_relaxation(gallery_instance("motzkin-ball"), 4), True),
+    "motzkin-sos-4": (lambda: unreduced_sos(gallery_instance("motzkin-ball"), 4), True),
     "corpus-5-moment-3": (lambda: build_moment_relaxation(
         dict(corpus_instances(spawn_key=1, count=6))[5], 3), True),
     "quadratic-sos-1": (lambda: build_sos_relaxation(QUADRATIC, 1), False),
@@ -293,10 +292,10 @@ class TestKernels:
         assert close(_schur(data, x_blocks, z_inv), (want + want.T) / 2.0)
 
     def test_chunks_match_one_chunk(self, monkeypatch):
-        # Motzkin level 6: 455 rows and CSR blocks 84/56, formed 18 and 41
-        # rows at a time in the order of r_n with a partial last chunk; M
-        # is the same to the bit as from one chunk per block in place
-        prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 6)
+        # unsplit Motzkin level 6: 455 rows and CSR blocks 84/56, formed 18
+        # and 41 rows at a time in the order of r_n with a partial last
+        # chunk; M is the same to the bit as from one chunk per block in place
+        prob = unreduced_sos(gallery_instance("motzkin-ball"), 6)
         data, _ = _start(prob, SolverOptions())
         assert data.position is not None
         for chunks in data.a_chunks:
@@ -310,11 +309,11 @@ class TestKernels:
         assert np.array_equal(_schur(data, it.x, it.z), _schur(whole, it.x, it.z))
 
     def test_schur_memory_is_bounded_by_the_chunks(self, monkeypatch):
-        # whole-block U, T and the copy of T^T would take 25.7 MB each at
-        # the 84 block; M itself is 1.6 MB
+        # unsplit Motzkin level 6: whole-block U, T and the copy of T^T
+        # would take 25.7 MB each at the 84 block; M itself is 1.6 MB
         import tracemalloc
 
-        prob = build_sos_relaxation(gallery_instance("motzkin-ball"), 6)
+        prob = unreduced_sos(gallery_instance("motzkin-ball"), 6)
         it = random_iterate(prob, np.random.default_rng(41))
         mbytes = 8 * prob.nrows ** 2
 
@@ -413,10 +412,10 @@ def eighth_power_ball_problem():
 
 # (builder, chunk budget in bytes or None for ``_CHUNK_BYTES``)
 SCHUR_CASES = {
-    "one-chunk-csr": (lambda: build_sos_relaxation(gallery_instance("motzkin-ball"), 3), None),
-    "permuted-csr": (lambda: build_sos_relaxation(gallery_instance("motzkin-ball"), 5), None),
+    "one-chunk-csr": (lambda: unreduced_sos(gallery_instance("motzkin-ball"), 3), None),
+    "permuted-csr": (lambda: unreduced_sos(gallery_instance("motzkin-ball"), 5), None),
     "moment-linkless": (lambda: dataclasses.replace(
-        build_moment_relaxation(gallery_instance("motzkin-ball"), 4)), None),
+        unreduced_sos(gallery_instance("motzkin-ball"), 4).dual()), None),
     "dense": (lambda: build_sos_relaxation(
         random_instance(2, 2, np.random.default_rng(101)), 1), None),
     "permuted-with-dense": (eighth_power_ball_problem, 1 << 14),
@@ -648,28 +647,10 @@ class TestAnsweredFromTheSource:
         assert_identical(sol, solve(dataclasses.replace(prob)))
 
     def test_motzkin_moment_level_5_ends_within_40_iterations(self):
-        # run on its own KKT system (2,227 rows, 286 free columns) it stalls
-        # near_optimal for all 200 iterations
+        # the unsplit level's moment form, run on its own KKT system (2,227
+        # rows, 286 free columns), stalls near_optimal for all 200 iterations
         sol = solve(build_moment_relaxation(gallery_instance("motzkin-ball"), 5))
         assert sol.status == "optimal" and sol.iterations <= 40, (sol.iterations, sol.notes)
-
-
-def ratpoly_defect(cert, inst):
-    """f - gamma - sum phi_i h_i - sum sigma_j g_j in exact arithmetic, with
-    each sigma_j expanded from the certificate's Gram matrix."""
-    n = inst.nvars
-    defect = RatPoly.from_float_poly(inst.f) - RatPoly(n, {(0,) * n: cert.gamma})
-    for phi, h in zip(cert.phi, inst.h):
-        defect = defect - RatPoly.from_float_poly(phi) * RatPoly.from_float_poly(h)
-    g_all = [Polynomial.constant(n, 1.0)] + list(inst.g)
-    for gram, g in zip(cert.sigma_grams, g_all):
-        terms = {}
-        for p, mp in enumerate(gram.basis):
-            for q, mq in enumerate(gram.basis):
-                mono = tuple(a + b for a, b in zip(mp, mq))
-                terms[mono] = terms.get(mono, Fraction(0)) + Fraction(gram.matrix[p, q])
-        defect = defect - RatPoly(n, terms) * RatPoly.from_float_poly(g)
-    return defect
 
 
 class TestDependentFreeColumns:
