@@ -280,20 +280,24 @@ def gram_clip_psd(matrix: np.ndarray):
 def extract_certificate(prob, sol, inst: PopInstance) -> Certificate:
     """Turn a solved SOS relaxation into a checkable certificate.
 
-    Gram blocks are repaired to exact PSD by eigenvalue clipping; whatever
-    that (and solver inaccuracy) costs shows up in ``identity_residual``,
-    which is reported, never rounded away.  ``verified`` and
-    ``identity_residual`` are what ``verify_certificate`` finds at
-    ``CERT_TOL``; a failed check marks the certificate UNVERIFIED but it is
-    still returned.
+    Gram blocks are repaired to exact PSD by eigenvalue clipping, one SDP
+    block at a time, so they stay zero between blocks; whatever that (and
+    solver inaccuracy) costs shows up in ``identity_residual``, which is
+    reported, never rounded away.  ``verified`` and ``identity_residual``
+    are what ``verify_certificate`` finds at ``CERT_TOL``; a failed check
+    marks the certificate UNVERIFIED but it is still returned.
     """
     lift = None if prob.layout is None else prob.layout.lift(sol)
     if lift is None or lift.gamma is None:
         raise ValueError("problem carries no SOS layout; build it with build_sos_relaxation")
     grams = []
     notes = []
-    for j, (bas, matrix) in enumerate(lift.grams):
-        clipped, neg_mass = gram_clip_psd(matrix)
+    for j, (bas, matrix, parts) in enumerate(lift.grams):
+        clipped, neg_mass = np.zeros_like(matrix), 0.0
+        for part in parts:
+            idx = np.ix_(part, part)
+            clipped[idx], mass = gram_clip_psd(matrix[idx])
+            neg_mass += mass
         if neg_mass > 0:
             notes.append(f"gram {j}: clipped negative eigenvalue mass {neg_mass:.3e}")
         grams.append(GramBlock(basis=bas, matrix=clipped))

@@ -37,11 +37,12 @@ identical problem data, with the SOS rows in graded-lex monomial order.
 A built problem's layout (``SosLayout`` or ``MomentLayout``) alone maps a
 solution back to the instance: ``layout.lift(sol)`` is a ``Lift``, which
 reads the split problem in the instance's own shape.  Both forms index the
-pseudo-moments y by the SOS rows (the moment form's free columns), which the
-lift scatters into ``basis(n, 2k)``, zero at the non-invariant monomials; so
-the moments of degree <= 2t are a prefix of y.  The lift assembles each
-g_j's Gram matrix over its full basis from its class blocks, zero between
-classes.
+pseudo-moments y by the SOS rows (the moment form's free columns; the
+moment layout takes them from the SOS layout), which the lift scatters into
+``basis(n, 2k)``, zero at the non-invariant monomials; so the moments of
+degree <= 2t are a prefix of y.  The lift assembles each g_j's Gram matrix
+over its full basis from its class blocks, zero between classes, and names
+the positions of each block, so that a certificate repairs them one by one.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class Lift:
     """A solved relaxation read back onto the instance: the level's bound, the
     raw pseudo-moments y over ``basis(nvars, 2*level)`` (not divided by y_0)
     and, in the SOS form only, gamma, one phi polynomial per equality and one
-    (basis, Gram matrix) pair per g_j, g_0 = 1 first."""
+    (basis, Gram matrix, parts) triple per g_j, g_0 = 1 first, ``parts`` the
+    positions of each of its SDP blocks in the basis (zero between two)."""
 
     value: float
     moments: np.ndarray
@@ -106,9 +108,10 @@ class SosLayout:
         for (j, part), x in zip(self.blocks, sol.x_blocks):
             idx = np.array(part)
             grams[j][idx[:, None], idx] = x
+        parts = [tuple(part for i, part in self.blocks if i == j) for j in range(len(grams))]
         return Lift(value=float(sol.primal_objective), moments=_scatter(self, sol.dual_vector),
                     gamma=float(sol.free_values[0]), phi=phi,
-                    grams=tuple(zip(self.block_bases, grams)))
+                    grams=tuple(zip(self.block_bases, grams, parts)))
 
 
 @dataclass
@@ -272,10 +275,10 @@ def build_moment_relaxation(inst: PopInstance, k: int) -> SdpProblem:
     max -L_y(f), so the bound is minus the solved objective.
     """
     sos = build_sos_relaxation(inst, k)
-    rows, monomials = _classes(inst.nvars, 2 * k, _sign_group(inst))[0]
+    rows, entries = sos.layout.rows, basis(inst.nvars, 2 * k).entries
     return sos.dual(name=f"moment-level-{k}",
-                    layout=MomentLayout(level=k, nvars=inst.nvars, free_monomials=monomials,
-                                        rows=rows))
+                    layout=MomentLayout(level=k, nvars=inst.nvars, rows=rows,
+                                        free_monomials=tuple(entries[r] for r in rows)))
 
 
 def relaxation_value(prob: SdpProblem, sol) -> float:

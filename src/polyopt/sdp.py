@@ -29,8 +29,8 @@ nonzero, so each block's A_{j,0..nrows-1} is stored as a ``CoeffBlock``:
 triplets (row m, flat index p*s + q, value) of the upper triangles p <= q,
 sorted by (m, p, q), in O(nnz) memory.  ``SdpProblem`` also accepts a
 symmetric dense (nrows, s, s) cube per block and stores it the same way;
-``SdpProblem.to_dense()`` gives the cubes back.  B, C and the right-hand
-side are held dense.
+``CoeffBlock.to_dense()`` gives a block's cube back.  B, C and the
+right-hand side are held dense.
 
 Text serialization is line oriented and sparse (0-based indices, repr floats
 so the round trip is exact).  Coefficient matrices are symmetric and only the
@@ -208,10 +208,6 @@ class SdpProblem:
     @property
     def nfree(self) -> int:
         return self.b_free.shape[1]
-
-    def to_dense(self) -> list:
-        """The coefficient matrices as one dense (nrows, s, s) cube per block."""
-        return [a.to_dense() for a in self.a_blocks]
 
     def __reduce__(self):
         if self.dual_of is not None:

@@ -11,11 +11,12 @@ form, and it keeps its source in ``dual_of``.  The two are one primal-dual
 pair, so ``solve`` runs the interior-point method on the source and, when
 that run ends ``optimal``, returns its solution transposed (``_as_dual``).
 The moment relaxation is such a problem, and its source, the SOS form, is
-the smaller of the two: at Motzkin level 5 it has 286 rows and one free
-column against 2,227 rows and 286 free columns, on which the direct run
-stalls.  GloptiPoly 3 hands the moment SDP to its solver in this dual form
-for the same reason (Henrion, Lasserre and Lofberg, Optim. Methods Softw.
-24, 2009).  Any other outcome of the source run falls back to a run on the
+the smaller of the two: at the unsplit Motzkin level 5 (as
+``tests/unreduced.py`` builds it) it has 286 rows and one free column
+against 2,227 rows and 286 free columns, on which the direct run stalls.
+GloptiPoly 3 hands the moment SDP to its solver in this dual form for the
+same reason (Henrion, Lasserre and Lofberg, Optim. Methods Softw. 24,
+2009).  Any other outcome of the source run falls back to a run on the
 problem itself, so routing never makes a status worse.
 
 X, Z, B and the Schur complement are dense; the coefficients A are not.
@@ -31,24 +32,24 @@ and one ``_schur`` serve both kinds.
 time, from a plan that ``_start`` makes once per solve (``_plan``).  Only
 r_n rows of A_n are nonzero (in the SOS form Gram row p meets one row per
 monomial, so sum_n r_n = s^2), and so only r_n rows of U_n = A_n X.  A
-CSR block's chunk therefore stacks just those rows of each A_n, padded
-with empty rows to the chunk's largest r_n, and names the rows of Z^{-1}
-that match them; T_n = U_n^T Z^{-1} is one batched dense product over
-these r_n-row operands, and M's columns get A T^T.  That is
+dense block stacks all s rows of each A_n; a CSR block stacks only its
+nonzero rows and gathers: its chunk stacks just those rows of each A_n,
+padded with empty rows to the chunk's largest r_n, and names the rows of
+Z^{-1} that match them.  T_n = U_n^T Z^{-1} is one batched dense
+product over these r_n-row operands, and M's columns get A T^T.  That is
 2 s^2 sum_n (padded r_n) dense flops per block instead of 2 nrows s^3
-(Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997, treat this sparsity):
-at Motzkin level 6 the 84-block stacks 7,402 rows instead of 38,220, and
-its share of a formation falls from 539 to 105 MFlop.  The rows are taken
-in one order for all blocks, the argsort of r_n in the largest CSR block,
-so that the rows of a chunk have nearly the same r_n; M is formed with
-its columns in that order and put back in place by its symmetrization.
-The padding adds exact zeros and every other term is summed in the same
-order as over all s rows, so M is the same to the bit.  A dense block
-stacks all s rows of each A_n, and so does a CSR block whose padded rows
-would be more than half of them; a problem whose CSR blocks each fit in
-one chunk is not permuted.  A chunk holds as many rows as keep its T
-within ``_CHUNK_BYTES`` (1 MiB), so a formation needs M plus a few MB
-instead of whole-block arrays of nrows s^2 doubles.
+(Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997, treat this
+sparsity): at the unsplit Motzkin level 6 (``tests/unreduced.py``) the
+84-block stacks 7,402 rows instead of 38,220, and its share of a
+formation falls from 539 to 105 MFlop.  The rows are taken in one order for all blocks, the argsort of
+r_n in the largest CSR block, so that the rows of a chunk have nearly the
+same r_n; M is formed with its columns in that order and put back in
+place by its symmetrization.  The padding adds exact zeros and every
+other term is summed in the same order as over all s rows, so M is the
+same to the bit.  A problem whose CSR blocks each fit in one chunk is not
+permuted.  A chunk holds as many rows as keep its T within
+``_CHUNK_BYTES`` (1 MiB), so a formation needs M plus a few MB instead of
+whole-block arrays of nrows s^2 doubles.
 
 The method is infeasible-start path following with the HKM search direction
 and a Mehrotra predictor-corrector step.  ``solve`` is a short loop over
@@ -351,12 +352,12 @@ def _chunks(a, s: int, triplets, nonzero, order, position):
     rows order[lo:hi] (rows lo..hi-1 when ``order`` is None; ``position``
     is its inverse).
 
-    A CSR block's ``stack`` holds only the r_n nonzero rows of each A_n, in
-    their order, padded with empty rows to the chunk's largest r_n, and
-    ``gather``, (hi - lo, that r_n), names the row of A_n, and so of
-    Z^{-1}, that each is; a padding row names row 0.  A dense block's
-    ``stack``, and a CSR block's where the padded rows would be more than
-    half of all, is its A_n stacked, s rows each, and ``gather`` is None."""
+    A dense block stacks all s rows of each A_n; a CSR block stacks only
+    its nonzero rows and gathers.  A dense block's ``stack`` is its A_n
+    stacked, s rows each, and ``gather`` is None.  A CSR block's holds the
+    r_n nonzero rows of each A_n, in their order, padded with empty rows to
+    the chunk's largest r_n, and ``gather``, (hi - lo, that r_n), names the
+    row of A_n, and so of Z^{-1}, that each is; a padding row names row 0."""
     nrows = a.shape[0]
     step = _chunk_rows(s)
     starts = np.arange(0, nrows, step)
@@ -373,19 +374,12 @@ def _chunks(a, s: int, triplets, nonzero, order, position):
     rank = np.arange(len(keys)) - (np.cumsum(counts) - counts)[owner]
     pos = owner if position is None else position[owner]
     pad = np.maximum.reduceat(counts if order is None else counts[order], starts)
-    compact = 2 * int(widths @ pad) <= nrows * s
-    if not compact:
-        # padding would keep more than half the rows, and gathering the rows
-        # of Z^{-1} would cost more than it saves: stack every row of A_n
-        pad, rank = np.full(len(starts), s), row
     offsets = np.zeros(len(starts) + 1, dtype=np.int64)
     np.cumsum(widths * pad, out=offsets[1:])
     chunk = pos // step
     slot = offsets[chunk] + (pos - starts[chunk]) * pad[chunk] + rank
-    gather = None
-    if compact:
-        gather = np.zeros(offsets[-1], dtype=np.intp)
-        gather[slot] = row
+    gather = np.zeros(offsets[-1], dtype=np.intp)
+    gather[slot] = row
     entry = slot[inverse]
     if position is not None:
         # a stable sort keeps each row's entries in the triplet order; in
@@ -395,8 +389,7 @@ def _chunks(a, s: int, triplets, nonzero, order, position):
     indptr = np.zeros(offsets[-1] + 1, dtype=np.int64)
     np.cumsum(np.bincount(entry, minlength=offsets[-1]), out=indptr[1:])
     stack = csr_array((vals, cols % s, indptr), shape=(offsets[-1], s))
-    return [(lo, lo + width, stack[begin:end],
-             None if gather is None else gather[begin:end].reshape(width, -1))
+    return [(lo, lo + width, stack[begin:end], gather[begin:end].reshape(width, -1))
             for lo, width, begin, end in zip(starts.tolist(), widths.tolist(),
                                              offsets[:-1].tolist(), offsets[1:].tolist())]
 
@@ -535,19 +528,19 @@ def _schur(data: _Data, x_blocks, z_inv):
     """The HKM Schur complement M_mn = sum_j <A_{j,m}, X_j A_{j,n} Z_j^{-1}>.
 
     Per block, the columns of M are formed a chunk at a time
-    (``_Data.a_chunks``, see ``_chunks``): U_n = A_n X over the rows that
-    the chunk stacks (sparse work), T_n = U_n^T Z^{-1} = (X A_n) Z^{-1} as
-    one batched product with the matching rows of Z^{-1} (all of Z^{-1}
-    when the chunk stacks all s rows), and the chunk's columns of M get
-    A T^T with A as held.  A zero row of U_n only adds exact zeros to
-    T_n, and the other terms are summed in the order of the rows, so
-    leaving out zero rows and padding with them change no bit of M;
-    neither does the chunk size.  Per block that is 2 s^2 sum_n (padded
-    r_n) dense flops, at most 2 nrows s^3, plus O(nnz (s + nrows)) sparse
-    ones.  The product is associated as (X A_n) Z^{-1}, as it was with
-    dense A; the free-variable endgame is sensitive enough to rounding
-    that X (A_n Z^{-1}) leaves other corpus levels short of the
-    tolerances.
+    (``_Data.a_chunks``, see ``_chunks``): a dense block stacks all s rows
+    of each A_n; a CSR block stacks only its nonzero rows and gathers.
+    U_n = A_n X over the rows that the chunk stacks (sparse work),
+    T_n = U_n^T Z^{-1} = (X A_n) Z^{-1} as one batched product with the
+    matching rows of Z^{-1}, and the chunk's columns of M get A T^T with A
+    as held.  A zero row of U_n only adds exact zeros to T_n, and the
+    other terms are summed in the order of the rows, so leaving out zero
+    rows and padding with them change no bit of M; neither does the chunk
+    size.  Per block that is 2 s^2 sum_n (padded r_n) dense flops, at most
+    2 nrows s^3, plus O(nnz (s + nrows)) sparse ones.  The product is
+    associated as (X A_n) Z^{-1}, as it was with dense A; the
+    free-variable endgame is sensitive enough to rounding that
+    X (A_n Z^{-1}) leaves other corpus levels short of the tolerances.
 
     Row i of the array holds column i of M, or column order[i] when
     ``_plan`` permuted the rows (``_Data.position`` is the inverse), so a

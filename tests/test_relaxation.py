@@ -95,7 +95,7 @@ class TestSosBuilder:
         lift = prob.layout.lift(solve(prob))
         assert len(lift.phi) == 1
         assert lift.phi[0].degree == 2
-        assert [len(bas) for bas, _ in lift.grams] == [6]   # basis(2, 2) for g_0 = 1
+        assert [len(bas) for bas, *_ in lift.grams] == [6]   # basis(2, 2) for g_0 = 1
 
     def test_level_error_names_minimum(self):
         inst = PopInstance(f=motzkin(), g=(ball_constraint(3, 1.0),))
@@ -172,7 +172,7 @@ class TestMomentBuilder:
         ideal = [riesz(h * mono(beta)) for h in inst.h for beta in basis(n, 2 * k - h.degree)]
         u = np.array([y[m] for m in monomials])
         residual = prob.b_free @ u - prob.rhs
-        for a, x in zip(prob.to_dense(), blocks):
+        for a, x in zip([blk.to_dense() for blk in prob.a_blocks], blocks):
             residual += np.tensordot(a, x, axes=([1, 2], [0, 1]))
         expected = np.zeros(prob.nrows)
         expected[0] = y[(0,) * n] - 1.0
@@ -238,6 +238,15 @@ class TestSignSplit:
                 prob, full = build_sos_relaxation(inst, k), unreduced_sos(inst, k)
                 assert prob.to_text() == full.to_text()
                 assert prob.layout == full.layout
+        else:
+            # the moment form's free columns are the SOS form's rows: the
+            # invariant monomials, taken from the SOS layout
+            for k in (inst.min_level(), inst.min_level() + 1):
+                sos, mom = build_sos_relaxation(inst, k), build_moment_relaxation(inst, k)
+                assert mom.layout.rows == sos.layout.rows
+                assert len(sos.layout.rows) < len(basis(inst.nvars, 2 * k))
+                assert (mom.layout.rows, mom.layout.free_monomials) == \
+                    _classes(inst.nvars, 2 * k, group)[0]
 
     def test_random_instances_have_no_symmetry(self):
         rng = np.random.default_rng(5)
@@ -267,9 +276,10 @@ class TestSignSplit:
         assert len(lift.moments) == len(basis(3, 8))
         assert np.array_equal(lift.moments[rows], sol.dual_vector)
         assert not np.delete(lift.moments, rows).any()
-        assert [len(bas) for bas, _ in lift.grams] == [35, 20]
+        assert [len(bas) for bas, *_ in lift.grams] == [35, 20]
         for (j, part), x in zip(prob.layout.blocks, sol.x_blocks):
-            bas, gram = lift.grams[j]
+            bas, gram, parts = lift.grams[j]
+            assert part in parts
             assert np.array_equal(gram[np.ix_(part, part)], x)
             # zero between this class and every other of the same basis
             others = np.setdiff1d(np.arange(len(bas)), part)
@@ -291,6 +301,12 @@ class TestSignSplit:
         assert max(map(abs, defect.terms.values()), default=0) <= \
             1e-6 * (1.0 + inst.f.coeff_norm())
         assert all(np.linalg.eigvalsh(gram.matrix).min() >= -1e-12 for gram in cert.sigma_grams)
+        # each SDP block is repaired on its own, so the entries between two
+        # classes of a basis stay exactly 0.0
+        for j, part in prob.layout.blocks:
+            gram = cert.sigma_grams[j].matrix
+            others = np.setdiff1d(np.arange(len(gram)), part)
+            assert np.array_equal(gram[np.ix_(part, others)], np.zeros((len(part), len(others))))
 
     @pytest.mark.parametrize("name, levels, rank", [
         ("quartic-flat", [2], 2), ("two-minima", [1, 2], 2), ("motzkin-ball", [3, 4], None)])

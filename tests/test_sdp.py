@@ -56,7 +56,7 @@ class TestValidation:
                                                  [[0.0, 0.5], [0.5, 0.0]]])
         prob = SdpProblem(block_sizes=[2], a_blocks=[block], b_free=np.array([[1.0], [0.0]]),
                           rhs=np.array([1.0, 0.25]), c_free=np.array([1.0]))
-        assert np.array_equal(prob.to_dense()[0], tiny_problem().to_dense()[0])
+        assert np.array_equal(prob.a_blocks[0].to_dense(), tiny_problem().a_blocks[0].to_dense())
 
     def test_block_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
@@ -221,7 +221,7 @@ class TestDualLink:
         sol = solve(sos)
         lift, lift0 = dup.layout.lift(sol), sos.layout.lift(sol)
         assert len(lift.phi) == 1 and lift.phi == lift0.phi
-        assert [bas for bas, _ in lift.grams] == [bas for bas, _ in lift0.grams]
+        assert [bas for bas, *_ in lift.grams] == [bas for bas, *_ in lift0.grams]
 
 
 class TestTextFormat:
@@ -232,8 +232,8 @@ class TestTextFormat:
         assert np.array_equal(back.rhs, prob.rhs)
         assert np.array_equal(back.b_free, prob.b_free)
         assert np.array_equal(back.c_free, prob.c_free)
-        for a, b in zip(back.to_dense(), prob.to_dense()):
-            assert np.array_equal(a, b)
+        for a, b in zip(back.a_blocks, prob.a_blocks):
+            assert np.array_equal(a.to_dense(), b.to_dense())
         assert back.name == "tiny"
 
     def test_round_trip_relaxation(self):
@@ -244,8 +244,8 @@ class TestTextFormat:
         back = SdpProblem.from_text(prob.to_text())
         assert back.block_sizes == prob.block_sizes
         assert np.array_equal(back.rhs, prob.rhs)
-        for a, b in zip(back.to_dense(), prob.to_dense()):
-            assert np.array_equal(a, b)
+        for a, b in zip(back.a_blocks, prob.a_blocks):
+            assert np.array_equal(a.to_dense(), b.to_dense())
 
     def test_file_round_trip(self, tmp_path):
         from polyopt import read_problem, write_problem
@@ -295,10 +295,10 @@ class TestTextFormat:
         text = tiny_problem().to_text()
         assert "A 1 0 0 1 0.5\n" in text
         lower = SdpProblem.from_text(text.replace("A 1 0 0 1 0.5", "A 1 0 1 0 0.5"))
-        assert np.array_equal(lower.to_dense()[0], tiny_problem().to_dense()[0])
+        assert np.array_equal(lower.a_blocks[0].to_dense(), tiny_problem().a_blocks[0].to_dense())
         both = SdpProblem.from_text(text.replace("A 1 0 0 1 0.5", "A 1 0 0 1 0.5\nA 1 0 1 0 0.25"))
         assert both.a_blocks[0].vals.tolist() == [1.0, 0.75]
-        assert np.array_equal(both.to_dense()[0][1], [[0.0, 0.75], [0.75, 0.0]])
+        assert np.array_equal(both.a_blocks[0].to_dense()[1], [[0.0, 0.75], [0.75, 0.0]])
 
     @pytest.mark.parametrize("case, digest", [
         ("motzkin-sos-4", "d213b919b6f77ae30e652a42e83b2bab6434805a8cb9d2380d1713b4ae0a4105"),

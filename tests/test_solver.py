@@ -152,7 +152,8 @@ class TestAgainstProjectionOracle:
             prob = random_strictly_feasible(rng, sizes, nrows)
             sol = solve(prob)
             assert sol.status == "optimal"
-            oracle_obj, _, _ = admm_sdp_solve(prob.c_blocks, prob.to_dense(), prob.rhs)
+            dense = [blk.to_dense() for blk in prob.a_blocks]
+            oracle_obj, _, _ = admm_sdp_solve(prob.c_blocks, dense, prob.rhs)
             scale = 1.0 + abs(oracle_obj)
             assert abs(sol.primal_objective - oracle_obj) <= 1e-5 * scale
 
@@ -184,7 +185,7 @@ class TestInvariants:
         sol1 = solve(prob)
         scaled = SdpProblem(
             block_sizes=list(prob.block_sizes),
-            a_blocks=prob.to_dense(),
+            a_blocks=[blk.to_dense() for blk in prob.a_blocks],
             b_free=prob.b_free.copy(), rhs=prob.rhs.copy(),
             c_free=prob.c_free.copy(),
             c_blocks=[3.0 * c for c in prob.c_blocks])
@@ -258,7 +259,7 @@ def random_iterate(prob, rng):
 
 class TestKernels:
     """The sparse kernels against the dense formulas on the cubes of
-    ``to_dense()``, at a fixed positive definite X and Z^{-1}."""
+    ``CoeffBlock.to_dense()``, at a fixed positive definite X and Z^{-1}."""
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_match_dense_formulas(self, case):
@@ -269,7 +270,7 @@ class TestKernels:
         # A^T is a view over A's arrays, not a second copy
         for a, a_t in zip(data.a_ops, data.a_ts):
             assert np.shares_memory(a.data if sparse else a, a_t.data if sparse else a_t)
-        dense = prob.to_dense()
+        dense = [blk.to_dense() for blk in prob.a_blocks]
         rng = np.random.default_rng(17)
         x_blocks, z_inv = [], []
         for s in prob.block_sizes:
@@ -419,6 +420,8 @@ SCHUR_CASES = {
     "dense": (lambda: build_sos_relaxation(
         random_instance(2, 2, np.random.default_rng(101)), 1), None),
     "permuted-with-dense": (eighth_power_ball_problem, 1 << 14),
+    # 16 blocks: the 20-block and ten 10-blocks held as CSR, five 4-blocks dense
+    "split-motzkin-6": (lambda: build_sos_relaxation(gallery_instance("motzkin-ball"), 6), None),
 }
 
 
@@ -460,11 +463,14 @@ class TestSchur:
             assert [lo for lo, _, _, _ in chunks] == [0] + [hi for _, hi, _, _ in chunks[:-1]]
             assert chunks[-1][1] == prob.nrows
             for lo, hi, stack, gather in chunks:
-                if gather is None:
-                    assert stack.shape == ((hi - lo) * s, s)
+                if isinstance(a, np.ndarray):
+                    # a dense block stacks all s rows of each A_n
+                    assert gather is None and stack.shape == ((hi - lo) * s, s)
                 else:
-                    # padded to the chunk's largest r_n, and only to it
+                    # a CSR block gathers its nonzero rows, padded to the
+                    # chunk's largest r_n, and only to it
                     assert gather.shape == (hi - lo, counts[order[lo:hi]].max())
+                    assert stack.shape == (gather.size, s)
         if case == "one-chunk-csr":
             assert data.position is None and [len(c) for c in data.a_chunks] == [1, 1]
             assert all(scipy.sparse.issparse(a) for a in data.a_ops)
@@ -474,7 +480,10 @@ class TestSchur:
         elif case == "moment-linkless":
             assert max(counts.max() for counts in nonzero_rows) == 2
             assert all(g.shape[1] <= 2 for c in data.a_chunks for _, _, _, g in c)
-        if case in ("dense", "permuted-with-dense"):
+        elif case == "split-motzkin-6":
+            assert data.position is None and len(data.a_ops) == 16
+            assert [scipy.sparse.issparse(a) for a in data.a_ops].count(True) == 11
+        if case in ("dense", "permuted-with-dense", "split-motzkin-6"):
             assert any(isinstance(a, np.ndarray) for a in data.a_ops)
         # rows with no entries in a block: the moment form's y_0 row has
         # none in any, and the 1-block has entries only in g's three rows
@@ -484,7 +493,9 @@ class TestSchur:
             assert np.count_nonzero(nonzero_rows[1]) == 3
 
     def test_permuted_formation_is_bit_identical(self, monkeypatch):
-        # the permuted chunks, the dense block's reordered stack and the
+        # against one chunk per block in the natural order, the permuted
+        # chunks of the CSR block (each gathering its rows, padded to its own
+        # largest r_n), the dense block's reordered stack and the
         # symmetrization that restores the order change no bit of M
         prob = eighth_power_ball_problem()
         data, _ = _start(prob, SolverOptions())
